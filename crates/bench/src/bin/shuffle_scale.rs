@@ -12,8 +12,10 @@
 //!
 //! The harness also re-checks the subsystem's contract at every point:
 //! outputs and timing-free signatures are byte-identical at all fetcher
-//! counts, and `max_flow ≤ virtual ≤ sequential` for the aggregate
-//! schedule.
+//! counts, and `max_flow ≤ virtual` for the aggregate schedule. Where no
+//! two reducers share a node it also checks `virtual ≤ sequential`; on a
+//! node hosting several reducers their concurrent transfers share its
+//! ingress, so the sum of isolated flow costs is no longer an upper bound.
 //!
 //! ```sh
 //! cargo run --release -p textmr-bench --bin shuffle_scale [-- --scale paper]
@@ -99,7 +101,7 @@ fn main() {
             // Contract checks: fetcher count changes only virtual shuffle
             // time, and the NIC schedule respects its bounds.
             assert!(
-                agg.virtual_ns <= agg.sequential_ns,
+                REDUCERS > cluster.nodes || agg.virtual_ns <= agg.sequential_ns,
                 "{net_name}/{fetchers}: virtual {} > sequential {}",
                 agg.virtual_ns,
                 agg.sequential_ns

@@ -34,14 +34,14 @@ use crate::job::Job;
 use crate::metrics::{JobProfile, Op, SpeculationStats, TaskProfile, TaskSpan, VNanos};
 use crate::net::NetworkConfig;
 use crate::pool::run_indexed;
-use crate::shuffle::MAX_FETCHERS;
+use crate::shuffle::{flow_traces, MAX_FETCHERS};
 use crate::task::map_task::{run_map_task, MapOutput, MapTaskConfig, MapTaskError};
 use crate::task::reduce_task::{
     run_reduce_task, Grouping, ReduceResult, ReduceTaskConfig, ReduceTaskError,
 };
 use crate::trace::{
-    build_reduce_trace, AttemptKind, EdgeEnd, EdgeKind, EntryDetail, FlowTrace, JobTrace, LaneRole,
-    SpanKind, TaskKind, TraceEdge, TraceEntry,
+    build_reduce_trace, AttemptKind, EdgeEnd, EdgeKind, EntryDetail, JobTrace, LaneRole, SpanKind,
+    TaskKind, TraceEdge, TraceEntry,
 };
 use std::collections::BTreeMap;
 // textmr-lint: allow(unordered-iteration, reason = "per-node lookups only; never iterated")
@@ -84,11 +84,11 @@ pub struct ClusterConfig {
     /// always have.
     pub worker_threads: usize,
     /// Parallel shuffle fetchers per reduce task (Hadoop's `parallel
-    /// copies`). `1` (the default) is the sequential legacy behaviour with
-    /// independent-flow network accounting; larger values fetch on a
-    /// bounded pool and price concurrent flows through the contention-aware
-    /// NIC model (see [`crate::shuffle`]). Outputs and signatures are
-    /// identical at any setting; clamped to
+    /// copies`). `1` (the default) fetches one map output at a time;
+    /// larger values fetch on a bounded pool. Either way the reduce phase
+    /// is priced by the contention-aware NIC model, in which concurrent
+    /// flows into a node share its ingress (see [`crate::shuffle`]).
+    /// Outputs and signatures are identical at any setting; clamped to
     /// [`crate::shuffle::MAX_FETCHERS`].
     pub shuffle_fetchers: usize,
     /// Out-of-core streaming knobs (see [`StreamingConfig`]). Default off:
@@ -757,9 +757,8 @@ pub(crate) fn new_scheduler(cluster: &ClusterConfig, cfg: &JobConfig) -> Schedul
 /// `inputs` pairs a DFS file name with its logical source tag (tags matter
 /// only for multi-input jobs such as repartition joins).
 ///
-/// One round on a fresh scheduler: exactly the legacy one-shot pipeline.
-/// Multi-round DAG jobs drive `run_round` through
-/// [`crate::dag::DagExecutor`] instead.
+/// One round on a fresh scheduler. Multi-round DAG jobs drive
+/// `run_round` through [`crate::dag::DagExecutor`] instead.
 pub fn run_job(
     cluster: &ClusterConfig,
     cfg: &JobConfig,
@@ -878,12 +877,10 @@ pub(crate) struct RoundRun {
 
 /// Execute one map→shuffle→reduce round on the shared event loop.
 ///
-/// With `round == 0`, zero bases, and a fresh scheduler this IS the legacy
-/// single-shot pipeline, bit for bit: the scheduler sees the same task
-/// ids, the reservation recurrence starts from the same all-zero slot
-/// frees, and round-0 trace entries export byte-identically to pre-DAG
-/// traces. Later rounds pass global task-id bases (so attempt keys stay
-/// unique in the shared event graph) and a round stamp for the trace.
+/// With `round == 0`, zero bases, and a fresh scheduler this is the
+/// single-shot pipeline `run_job` runs. Later rounds pass global task-id
+/// bases (so attempt keys stay unique in the shared event graph) and a
+/// round stamp for the trace.
 pub(crate) fn run_round(
     cluster: &ClusterConfig,
     cfg: &JobConfig,
@@ -1095,11 +1092,11 @@ pub(crate) fn run_round(
     // ---- virtual-schedule the map phase ---------------------------------------
     // All virtual placement goes through the unified event loop
     // ([`crate::event::Scheduler`]): one integer priority queue drives
-    // slot reservations, speculation probes, and (with parallel fetchers)
-    // the shared-ingress reduce simulation, while the event graph records
-    // every attempt's enabling predecessors for the race checker. The
-    // scheduler is shared across a DAG job's rounds, so placements are
-    // keyed by globally unique task ids (`map_task_base + t`).
+    // map slot reservations, speculation probes, and the shared-ingress
+    // reduce simulation, while the event graph records every attempt's
+    // enabling predecessors for the race checker. The scheduler is shared
+    // across a DAG job's rounds, so placements are keyed by globally
+    // unique task ids (`map_task_base + t`).
     let mut map_spans = Vec::with_capacity(splits.len());
     // When tracing: per task, every attempt's (slot, start, end) placement.
     let mut map_sched: Vec<Vec<(usize, VNanos, VNanos)>> = Vec::new();
@@ -1398,116 +1395,71 @@ pub(crate) fn run_round(
         "reducer cancelled without an error"
     );
 
-    // ---- virtual-schedule the reduce phase, in partition order -----------------
-    // With one fetcher (the legacy configuration behind every shipped
-    // figure) the reservation recurrence is bit-identical to the original
-    // driver. With parallel fetchers the whole phase instead replays
-    // through the dynamic event loop, where each node's ingress NIC is a
-    // shared resource: concurrent flows into a node fair-share its
-    // bandwidth regardless of which reduce task owns them, so co-located
-    // reducers now contend instead of being priced in isolation.
+    // ---- virtual-schedule the reduce phase ------------------------------------
+    // The whole phase replays through the event loop, where each node's
+    // ingress NIC is a shared resource: concurrent flows into a node
+    // fair-share its bandwidth regardless of which reduce task owns them,
+    // so co-located reducers contend instead of being priced in isolation.
+    // Failed attempts block their slot for the isolated virtual time they
+    // burned (their partial shuffles are not replayed — a documented
+    // approximation); the of-record attempt replays its recorded flows.
+    let tasks: Vec<(usize, Vec<ReduceAttempt>)> = rattempt_durations
+        .iter()
+        .enumerate()
+        .map(|(r, durs)| {
+            let mut attempts: Vec<ReduceAttempt> = durs[..durs.len().saturating_sub(1)]
+                .iter()
+                .map(|&dur| ReduceAttempt::Block { dur })
+                .collect();
+            attempts.push(ReduceAttempt::Work {
+                flows: results[r].flow_inputs.iter().map(|fi| fi.flow).collect(),
+                post_ns: results[r].post_parts.iter().sum(),
+            });
+            (r % cluster.nodes, attempts)
+        })
+        .collect();
+    let outcomes = vsched.run_reduce_phase(reduce_task_base, tasks);
     let mut reduce_spans = Vec::with_capacity(cfg.num_reducers);
     let mut reduce_sched: Vec<Vec<(usize, VNanos, VNanos)>> = Vec::new();
-    if cluster.shuffle_fetchers.clamp(1, MAX_FETCHERS) <= 1 {
-        for (r, attempts) in rattempt_durations.iter().enumerate() {
-            let node = r % cluster.nodes;
-            let placed = vsched.place_reduce(reduce_task_base + r, node, attempts);
-            if cfg.trace {
-                reduce_sched.push(placed.iter().map(|p| (p.slot, p.start, p.end)).collect());
-            }
-            let (span_start, span_end) = placed
-                .last()
-                .map(|p| (p.start, p.end))
-                .unwrap_or((map_phase_end, map_phase_end));
-            reduce_spans.push(TaskSpan {
-                node,
-                start: span_start,
-                end: span_end,
-            });
+    for (r, outs) in outcomes.iter().enumerate() {
+        let node = r % cluster.nodes;
+        if cfg.trace {
+            reduce_sched.push(outs.iter().map(|o| (o.slot, o.start, o.end)).collect());
         }
-    } else {
-        // Failed attempts block their slot for the isolated virtual time
-        // they burned (their partial shuffles are not replayed — a
-        // documented approximation); the of-record attempt replays its
-        // recorded flows through the shared-ingress NIC model.
-        let tasks: Vec<(usize, Vec<ReduceAttempt>)> = rattempt_durations
-            .iter()
-            .enumerate()
-            .map(|(r, durs)| {
-                let mut attempts: Vec<ReduceAttempt> = durs[..durs.len().saturating_sub(1)]
-                    .iter()
-                    .map(|&dur| ReduceAttempt::Block { dur })
-                    .collect();
-                attempts.push(ReduceAttempt::Work {
-                    flows: results[r].flow_inputs.iter().map(|fi| fi.flow).collect(),
-                    post_ns: results[r].post_parts.iter().sum(),
-                });
-                (r % cluster.nodes, attempts)
-            })
-            .collect();
-        let outcomes = vsched.run_reduce_phase_from(reduce_task_base, tasks);
-        for (r, outs) in outcomes.iter().enumerate() {
-            let node = r % cluster.nodes;
-            if cfg.trace {
-                reduce_sched.push(outs.iter().map(|o| (o.slot, o.start, o.end)).collect());
-            }
-            let last = outs.last().expect("every reducer has an attempt");
-            reduce_spans.push(TaskSpan {
-                node,
-                start: last.start,
-                end: last.end,
-            });
-            // Patch the of-record profile with the contention-priced
-            // shuffle: under co-location the shared-ingress wait and
-            // virtual time replace the isolated estimates computed inside
-            // the task. Applied whether or not tracing is on, so
-            // signatures and op-time totals stay consistent between
-            // traced and untraced runs; without co-location the replay
-            // reproduces the isolated schedule exactly, so this is a
-            // no-op rewrite.
-            let sh = last
-                .shuffle
-                .as_ref()
-                .expect("of-record attempt replays its flows");
-            let post_total: VNanos = results[r].post_parts.iter().sum();
-            let res = &mut results[r];
-            res.profile.ops.set_nanos(Op::ShuffleWait, sh.wait_ns);
-            res.profile.virtual_duration = sh.virtual_ns + post_total;
-            res.shuffle.wait_ns = sh.wait_ns;
-            res.shuffle.virtual_ns = sh.virtual_ns;
-            if cfg.trace {
-                let mut sched_flows = sh.flows.clone();
-                sched_flows.sort_by_key(|s| s.flow);
-                let flow_traces: Vec<FlowTrace> = sched_flows
-                    .iter()
-                    .map(|s| {
-                        let inp = res.flow_inputs[s.flow];
-                        FlowTrace {
-                            map_task: s.flow,
-                            src_node: inp.src_node,
-                            remote: inp.flow.remote,
-                            io_ns: inp.flow.io_ns,
-                            backoff_ns: inp.flow.backoff_ns,
-                            slot: s.slot,
-                            start: s.start,
-                            pre_end: s.pre_end,
-                            latency_end: s.latency_end,
-                            transfer_end: s.transfer_end,
-                            finish: s.finish,
-                        }
-                    })
-                    .collect();
-                let [merge_c, ic_c, reduce_c, write_c] = res.post_parts;
-                res.profile.trace = Some(Box::new(build_reduce_trace(
-                    &flow_traces,
-                    sh.wait_ns,
-                    sh.virtual_ns,
-                    merge_c,
-                    ic_c,
-                    reduce_c,
-                    write_c,
-                )));
-            }
+        let last = outs.last().expect("every reducer has an attempt");
+        reduce_spans.push(TaskSpan {
+            node,
+            start: last.start,
+            end: last.end,
+        });
+        // Patch the of-record profile with the contention-priced shuffle:
+        // under co-location the shared-ingress wait and virtual time
+        // replace the isolated estimates computed inside the task. Applied
+        // whether or not tracing is on, so signatures and op-time totals
+        // stay consistent between traced and untraced runs; without
+        // co-location the replay reproduces the isolated schedule exactly,
+        // so this is a no-op rewrite.
+        let sh = last
+            .shuffle
+            .as_ref()
+            .expect("of-record attempt replays its flows");
+        let post_total: VNanos = results[r].post_parts.iter().sum();
+        let res = &mut results[r];
+        res.profile.ops.set_nanos(Op::ShuffleWait, sh.wait_ns);
+        res.profile.virtual_duration = sh.virtual_ns + post_total;
+        res.shuffle.wait_ns = sh.wait_ns;
+        res.shuffle.virtual_ns = sh.virtual_ns;
+        if cfg.trace {
+            let [merge_c, ic_c, reduce_c, write_c] = res.post_parts;
+            res.profile.trace = Some(Box::new(build_reduce_trace(
+                &flow_traces(&sh.flows, &res.flow_inputs),
+                sh.wait_ns,
+                sh.virtual_ns,
+                merge_c,
+                ic_c,
+                reduce_c,
+                write_c,
+            )));
         }
     }
 

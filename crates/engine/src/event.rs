@@ -1,14 +1,8 @@
 //! The unified deterministic event loop behind all virtual-time scheduling.
 //!
-//! Before this module existed, four subsystems each advanced virtual time
-//! with their own logic: the cluster scheduler's greedy slot recurrence,
-//! the shuffle NIC model's step loop, the fault machinery's retry/backoff
-//! arithmetic, and speculative execution's detection probes. The seams
-//! showed twice over: the race checker had to *re-derive* happens-before
-//! edges from span timings, and two reduce tasks scheduled onto the same
-//! node did not contend for that node's ingress bandwidth.
-//!
-//! This module unifies them around one integer event loop:
+//! The cluster scheduler's slot recurrence, the shuffle NIC model, the
+//! fault machinery's retry arithmetic and speculative execution all
+//! advance virtual time here, around one integer event loop:
 //!
 //! * **[`EventQueue`]** — a single priority queue of
 //!   `(virtual_ns, seq, event)` tuples. Ties in virtual time break by the
@@ -19,21 +13,16 @@
 //!   start/end, map-phase barrier, flow completion) is recorded as a node
 //!   that lists its *enabling predecessors*. The happens-before edges the
 //!   [`trace::race`](crate::trace::race) checker needs are read straight
-//!   off this graph (see [`SchedEdge`]) instead of being reconstructed
-//!   from span timings.
-//! * **[`Scheduler`]** — owns the per-node slot tables and drives both
-//!   placement modes:
-//!   * *Reservation mode* ([`Scheduler::place_map`],
-//!     [`Scheduler::place_reduce`]) reproduces the legacy greedy
-//!     recurrence **bit-for-bit** — first-minimum slot choice, `start =
-//!     max(slot_free, previous_attempt_end)` — so every shipped 1-fetcher
-//!     figure is unchanged.
-//!   * *Dynamic mode* ([`Scheduler::run_reduce_phase`]) runs reduce
-//!     attempts through the event loop with **shared node ingress**: all
+//!   off this graph (see [`SchedEdge`]).
+//! * **[`Scheduler`]** — owns the per-node slot tables:
+//!   * map attempts are placed by a greedy reservation recurrence
+//!     ([`Scheduler::place_map`]): first-minimum slot choice, `start =
+//!     max(slot_free, previous_attempt_end)`;
+//!   * the reduce phase runs through the event loop
+//!     ([`Scheduler::run_reduce_phase`]) with **shared node ingress**: all
 //!     concurrent flows into a node fair-share its bandwidth regardless of
-//!     which reduce task owns them. This fixes the documented
-//!     co-located-reducer bug — two reducers on one node now see each
-//!     other's traffic.
+//!     which reduce task owns them, so two reducers on one node see each
+//!     other's traffic at every fetcher count.
 //!
 //! # Exact integer bandwidth sharing
 //!
@@ -42,22 +31,16 @@
 //! into a node, each drains `SCALE32 / n` units per virtual nanosecond —
 //! an exact integer for every `n ≤ 32` (the default shape: 2 reduce slots
 //! × 16 fetchers), so schedules are deterministic with no float drift.
-//! Because `SCALE32` is an exact multiple of the per-attempt scale the
-//! legacy shuffle loop used (`lcm(1..=16) = 720 720`), a single attempt
-//! simulated here produces the **same event times** as the legacy
-//! per-attempt loop: both the remaining-work numerator and the rate
-//! denominator scale by the same factor, so every `ceil` division yields
-//! the identical quotient. For `n > 32` the per-flow rate floors, which
-//! only ever errs toward slower transfers.
+//! For `n > 32` the per-flow rate floors, which only ever errs toward
+//! slower transfers.
 //!
-//! # Documented approximations (dynamic mode only)
+//! # Documented approximations
 //!
-//! * Straggler factors scale an attempt's *total* duration (as in the
-//!   legacy recurrence); its flows are simulated unscaled and the node
-//!   factor is applied to the resulting makespan.
+//! * Straggler factors scale a reduce attempt's *total* duration; its
+//!   flows are simulated unscaled and the node factor is applied to the
+//!   resulting makespan.
 //! * Speculative reduce backups re-execute with an isolated shuffle (they
-//!   race the primary from a detection probe, not the phase's NIC state),
-//!   exactly as before this refactor.
+//!   race the primary from a detection probe, not the phase's NIC state).
 
 use crate::metrics::VNanos;
 use crate::trace::{EdgeKind, TaskKind};
@@ -214,7 +197,7 @@ pub enum EventKind {
     },
     /// All map attempts (including backups) completed; reduce slots open.
     MapPhaseEnd,
-    /// One shuffle flow of a reduce attempt finished (dynamic mode).
+    /// One shuffle flow of a reduce attempt finished.
     FlowFinish {
         /// The owning reduce task.
         task: usize,
@@ -226,8 +209,7 @@ pub enum EventKind {
     /// ends; an enabling predecessor of every later attempt.
     RoundBoundary {
         /// The round that opens at this boundary (1-based; round 0 has no
-        /// boundary — single-round jobs record the legacy graph
-        /// unchanged).
+        /// boundary).
         round: usize,
     },
 }
@@ -307,7 +289,7 @@ pub struct SchedEdge {
 }
 
 // ---------------------------------------------------------------------------
-// Flows and reduce attempts (dynamic-mode inputs)
+// Flows and reduce attempts (reduce-phase inputs)
 // ---------------------------------------------------------------------------
 
 /// One shuffle fetch as the NIC model sees it: fixed pre work (disk read,
@@ -317,9 +299,8 @@ pub struct SchedEdge {
 pub struct Flow {
     /// Measured disk-read nanoseconds (fixed pre work).
     pub io_ns: u64,
-    /// Deterministic virtual retry backoff, charged before the flow like
-    /// the legacy accounting (the fetcher holds its slot while backing
-    /// off).
+    /// Deterministic virtual retry backoff, charged before the flow (the
+    /// fetcher holds its slot while backing off).
     pub backoff_ns: u64,
     /// True when the source node differs from the destination node.
     pub remote: bool,
@@ -414,8 +395,8 @@ pub struct AttemptOutcome {
     pub shuffle: Option<AttemptShuffle>,
 }
 
-/// A static placement from reservation mode: `(slot, start, end)` exactly
-/// as the legacy greedy recurrence computed it.
+/// A map attempt's placement: `(slot, start, end)` as the greedy
+/// reservation recurrence computed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Slot index on the attempt's node.
@@ -443,9 +424,9 @@ pub struct ClusterShape {
 // Scheduler
 // ---------------------------------------------------------------------------
 
-/// The unified virtual-time scheduler: slot tables, the event graph, and
-/// both placement modes (legacy-exact reservation and dynamic
-/// shared-ingress simulation). See the module docs for the overall shape.
+/// The unified virtual-time scheduler: slot tables, the event graph, the
+/// map-side reservation recurrence and the shared-ingress reduce phase.
+/// See the module docs for the overall shape.
 #[derive(Debug)]
 pub struct Scheduler {
     shape: ClusterShape,
@@ -517,8 +498,7 @@ impl Scheduler {
         ns.saturating_mul(self.factors.get(node).copied().unwrap_or(1).max(1))
     }
 
-    /// First minimum: the lowest-indexed slot with the earliest free time
-    /// (the legacy recurrence's `min_by_key` tie-break).
+    /// First minimum: the lowest-indexed slot with the earliest free time.
     fn argmin(free: &[VNanos]) -> usize {
         let mut best = 0;
         for (i, &f) in free.iter().enumerate().skip(1) {
@@ -639,7 +619,7 @@ impl Scheduler {
         &self.edges
     }
 
-    /// Place every attempt of map task `task` with the legacy greedy
+    /// Place every attempt of map task `task` with the greedy reservation
     /// recurrence (first-minimum slot, `start = max(slot_free,
     /// prev_attempt_end)`, durations scaled by the node factor).
     pub fn place_map(&mut self, task: usize, node: usize, durs: &[VNanos]) -> Vec<Placement> {
@@ -696,8 +676,8 @@ impl Scheduler {
             TaskKind::Map => &mut self.map_free,
             TaskKind::Reduce => &mut self.reduce_free,
         };
-        // The legacy speculation code *sets* the slot free time (a losing
-        // backup may end before the slot's prior reservation).
+        // A backup *sets* the slot free time (a losing backup may end
+        // before the slot's prior reservation).
         free[node][slot] = end;
     }
 
@@ -706,8 +686,7 @@ impl Scheduler {
     /// [`EventKind::RoundBoundary`] enabled by every attempt so far and
     /// raises all slot free times to at least `origin`, so cross-round
     /// virtual time is continuous: round-`k+1` work starts no earlier
-    /// than the round-`k` outputs it consumes. Never called for round 0,
-    /// which keeps single-round jobs bit-identical to the legacy path.
+    /// than the round-`k` outputs it consumes. Never called for round 0.
     pub fn begin_round(&mut self, round: usize, origin: VNanos) {
         let preds = self.attempts.iter().map(|a| a.end_ev).collect();
         self.round_ev = Some(
@@ -744,50 +723,13 @@ impl Scheduler {
         }
     }
 
-    /// Place every attempt of reduce task `task` with the legacy greedy
-    /// recurrence — the bit-identical 1-fetcher path.
-    pub fn place_reduce(&mut self, task: usize, node: usize, durs: &[VNanos]) -> Vec<Placement> {
-        let mut out = Vec::with_capacity(durs.len());
-        let mut prev_end = 0;
-        for (attempt, &dur) in durs.iter().enumerate() {
-            let slot = Self::argmin(&self.reduce_free[node]);
-            let start = self.reduce_free[node][slot].max(prev_end);
-            let end = start.saturating_add(self.scale(node, dur));
-            self.record_attempt(
-                AttemptKey {
-                    kind: TaskKind::Reduce,
-                    task,
-                    attempt,
-                    backup: false,
-                },
-                node,
-                slot,
-                start,
-                end,
-                None,
-            );
-            prev_end = end;
-            out.push(Placement { slot, start, end });
-        }
-        out
-    }
-
-    /// Run the whole reduce phase through the dynamic event loop with
-    /// shared node ingress. `tasks[r] = (node, attempts)`; returns one
-    /// [`AttemptOutcome`] per attempt per task. Call
+    /// Run the whole reduce phase through the event loop with shared node
+    /// ingress. `tasks[r] = (node, attempts)`; returns one
+    /// [`AttemptOutcome`] per attempt per task. Attempt and flow-finish
+    /// events are recorded as task `base + r`, keeping keys unique when a
+    /// DAG job runs several rounds through one scheduler. Call
     /// [`Scheduler::begin_reduce_phase`] first.
     pub fn run_reduce_phase(
-        &mut self,
-        tasks: Vec<(usize, Vec<ReduceAttempt>)>,
-    ) -> Vec<Vec<AttemptOutcome>> {
-        self.run_reduce_phase_from(0, tasks)
-    }
-
-    /// [`Scheduler::run_reduce_phase`] with a global task-id base: attempt
-    /// and flow-finish events are recorded as task `base + r`, keeping
-    /// keys unique when a DAG job runs several rounds through one
-    /// scheduler. `base = 0` is the single-round path.
-    pub fn run_reduce_phase_from(
         &mut self,
         base: usize,
         tasks: Vec<(usize, Vec<ReduceAttempt>)>,
@@ -847,9 +789,8 @@ impl Scheduler {
 }
 
 /// Simulate one reduce attempt's shuffle in isolation: a single node with
-/// one reduce slot, starting at virtual time zero. This is the event-loop
-/// replacement for the legacy per-attempt NIC step loop and produces the
-/// same schedule bit-for-bit (see the module docs).
+/// one reduce slot, starting at virtual time zero. At one fetcher this is
+/// the serial sum of the flows' isolated costs, in submission order.
 pub fn simulate_attempt_flows(flows: &[Flow], fetchers: usize) -> AttemptShuffle {
     let mut outcomes = ReduceSim::new(
         1,
@@ -1175,7 +1116,7 @@ impl ReduceSim {
 
     /// Claim pending flows into free fetcher sub-slots, in sub-slot order;
     /// a fully zero-cost flow completes instantly and frees its sub-slot
-    /// for the next pending flow at the same instant (the legacy cascade).
+    /// for the next pending flow at the same instant.
     fn claim(&mut self, task: usize, t: VNanos) {
         let Some(f) = self.tasks[task].run.as_ref().map(|r| r.f) else {
             return;
@@ -1287,9 +1228,8 @@ impl ReduceSim {
     }
 
     /// Close/open the straggler-tail interval: the attempt is stalled when
-    /// exactly one fetcher is busy and no flow is left to claim (the
-    /// legacy wait condition, integrated between the attempt's own
-    /// events).
+    /// exactly one fetcher is busy and no flow is left to claim, integrated
+    /// between the attempt's own events.
     fn retally(&mut self, task: usize, t: VNanos) {
         let Some(run) = self.tasks[task].run.as_mut() else {
             return;
@@ -1304,7 +1244,7 @@ impl ReduceSim {
 
     /// When every flow has drained, finalize the shuffle and schedule the
     /// slot release after the post-shuffle work (straggler factor applied
-    /// to the whole attempt, like the legacy recurrence).
+    /// to the whole attempt, like the map-side recurrence).
     fn check_shuffle_done(&mut self, task: usize, t: VNanos) {
         let node = self.tasks[task].node;
         let done = self.tasks[task]
@@ -1438,7 +1378,7 @@ mod tests {
         }
     }
 
-    // ---- reservation mode: the legacy recurrence, bit-for-bit ------------
+    // ---- map reservation recurrence ---------------------------------------
 
     #[test]
     fn reservation_matches_the_legacy_greedy_recurrence() {
@@ -1491,15 +1431,8 @@ mod tests {
         );
 
         sched.begin_reduce_phase(30);
-        let r0 = sched.place_reduce(0, 0, &[4]);
-        assert_eq!(
-            r0[0],
-            Placement {
-                slot: 0,
-                start: 30,
-                end: 34
-            }
-        );
+        let r0 = sched.run_reduce_phase(0, vec![(0, vec![ReduceAttempt::Block { dur: 4 }])]);
+        assert_eq!((r0[0][0].slot, r0[0][0].start, r0[0][0].end), (0, 30, 34));
 
         let (graph, edges) = sched.into_parts();
         // Slot chain on node 0 slot 0: map 0 attempt 0 → map 1.
@@ -1574,7 +1507,7 @@ mod tests {
         assert!(backup_start.preds.contains(&origin_start));
     }
 
-    // ---- dynamic mode: exact agreement with the legacy NIC loop ----------
+    // ---- isolated attempts: the NIC examples ------------------------------
 
     #[test]
     fn isolated_attempt_reproduces_the_legacy_nic_examples() {
@@ -1645,7 +1578,7 @@ mod tests {
         };
         let mut sched = Scheduler::new(shape, Vec::new());
         sched.begin_reduce_phase(0);
-        let outs = sched.run_reduce_phase(vec![(0, one_flow()), (0, one_flow())]);
+        let outs = sched.run_reduce_phase(0, vec![(0, one_flow()), (0, one_flow())]);
         for (r, outs) in outs.iter().enumerate() {
             let sh = outs[0].shuffle.as_ref().unwrap();
             assert_eq!(sh.virtual_ns, 100 + 2000, "co-located reducer {r}");
@@ -1662,7 +1595,7 @@ mod tests {
         };
         let mut sched = Scheduler::new(shape, Vec::new());
         sched.begin_reduce_phase(0);
-        let outs = sched.run_reduce_phase(vec![(0, one_flow()), (1, one_flow())]);
+        let outs = sched.run_reduce_phase(0, vec![(0, one_flow()), (1, one_flow())]);
         for (r, outs) in outs.iter().enumerate() {
             let sh = outs[0].shuffle.as_ref().unwrap();
             assert_eq!(sh.virtual_ns, isolated, "separated reducer {r}");
@@ -1682,25 +1615,28 @@ mod tests {
         };
         let mut sched = Scheduler::new(shape, Vec::new());
         sched.begin_reduce_phase(1000);
-        let outs = sched.run_reduce_phase(vec![
-            (
-                0,
-                vec![ReduceAttempt::Work {
-                    flows: vec![remote(10, 100, 0)],
-                    post_ns: 40,
-                }],
-            ),
-            (
-                0,
-                vec![
-                    ReduceAttempt::Block { dur: 30 },
-                    ReduceAttempt::Work {
-                        flows: vec![local(20, 0)],
-                        post_ns: 5,
-                    },
-                ],
-            ),
-        ]);
+        let outs = sched.run_reduce_phase(
+            0,
+            vec![
+                (
+                    0,
+                    vec![ReduceAttempt::Work {
+                        flows: vec![remote(10, 100, 0)],
+                        post_ns: 40,
+                    }],
+                ),
+                (
+                    0,
+                    vec![
+                        ReduceAttempt::Block { dur: 30 },
+                        ReduceAttempt::Work {
+                            flows: vec![local(20, 0)],
+                            post_ns: 5,
+                        },
+                    ],
+                ),
+            ],
+        );
         // Task 0: starts at 1000, shuffle = 10 + 100 + 100 = 210, plus
         // post 40 → ends 1250.
         assert_eq!(outs[0][0].start, 1000);
@@ -1734,13 +1670,16 @@ mod tests {
         };
         let mut sched = Scheduler::new(shape, vec![3]);
         sched.begin_reduce_phase(0);
-        let outs = sched.run_reduce_phase(vec![(
+        let outs = sched.run_reduce_phase(
             0,
-            vec![ReduceAttempt::Work {
-                flows: vec![local(100, 0)],
-                post_ns: 50,
-            }],
-        )]);
+            vec![(
+                0,
+                vec![ReduceAttempt::Work {
+                    flows: vec![local(100, 0)],
+                    post_ns: 50,
+                }],
+            )],
+        );
         // Shuffle 100 + post 50, scaled ×3.
         assert_eq!(outs[0][0].end, 450);
         assert_eq!(outs[0][0].shuffle.as_ref().unwrap().virtual_ns, 100);

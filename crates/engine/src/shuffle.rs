@@ -4,10 +4,8 @@
 //! A reduce task fetches its partition from every map output. Two things
 //! happen per fetch: *real* work (disk read of the stored partition, plus
 //! decompression when the map side whole-partition-compressed it), which
-//! is measured, and *virtual* network time for remote sources.
-//! Historically both lived in a sequential `for` loop inside the reduce
-//! task; this module lifts them into a first-class subsystem with two
-//! independent knobs:
+//! is measured, and *virtual* network time for remote sources. Two
+//! independent knobs shape them:
 //!
 //! * **Fetcher pool**
 //!   ([`ClusterConfig::shuffle_fetchers`](crate::cluster::ClusterConfig::shuffle_fetchers)):
@@ -17,16 +15,14 @@
 //!   **map-task-id order** (the same recipe the job driver uses for task
 //!   results), so the merged reduce input is byte-identical at any fetcher
 //!   count.
-//! * **NIC-sharing virtual-time model**: with one fetcher, each remote flow
-//!   has the destination NIC to itself and shuffle virtual time is the
-//!   plain sum of `latency + bytes/bandwidth` terms — exactly the legacy
-//!   accounting, reproduced bit-for-bit. With `f > 1` fetchers, up to `f`
-//!   flows are in flight at once and concurrent flows into the reducer's
-//!   node share its ingress bandwidth fairly; the unified event loop in
-//!   [`crate::event`] computes the resulting schedule
-//!   ([`crate::event::simulate_attempt_flows`]). Parallel fetch virtual
-//!   time is therefore the *makespan* of overlapping flows — never more
-//!   than the sequential sum, never less than the largest single flow.
+//! * **NIC-sharing virtual-time model**: up to `f` flows are in flight at
+//!   once and concurrent flows into the reducer's node share its ingress
+//!   bandwidth fairly; the unified event loop in [`crate::event`] computes
+//!   the resulting schedule ([`crate::event::simulate_attempt_flows`]) at
+//!   every fetcher count. Shuffle virtual time is therefore the *makespan*
+//!   of overlapping flows — never more than the sequential sum of isolated
+//!   flow costs, never less than the largest single flow. With one fetcher
+//!   the flows run back to back, so the makespan *is* that sum.
 //!
 //! The event loop also measures the **straggler tail**: the span during
 //! which every other fetcher has drained and the reducer is stalled on its
@@ -48,10 +44,9 @@
 //! one level up, where the job driver replays the whole reduce phase
 //! through [`crate::event::Scheduler::run_reduce_phase`] with node ingress
 //! as a shared resource; [`ShuffleOutcome::inputs`] carries the per-flow
-//! measured costs that replay needs. (Before the unified event loop this
-//! was a documented modeling gap: co-located reducers did not contend.)
+//! measured costs that replay needs.
 
-use crate::event::{simulate_attempt_flows, Flow};
+use crate::event::{simulate_attempt_flows, Flow, FlowSched};
 use crate::fault::{shuffle_backoff_ns, FaultPlan};
 use crate::io::compress::decompress;
 use crate::metrics::{Stopwatch, VNanos};
@@ -139,10 +134,11 @@ pub struct ShuffleStats {
     /// Parallel fetchers the schedule was computed for (after clamping).
     pub fetchers: usize,
     /// Virtual shuffle makespan under the NIC-sharing model. Equals
-    /// [`ShuffleStats::sequential_ns`] when `fetchers == 1`.
+    /// [`ShuffleStats::sequential_ns`] when `fetchers == 1` and no
+    /// co-located reducer shares the node's ingress.
     pub virtual_ns: VNanos,
-    /// Degenerate one-fetcher virtual time (the legacy independent-flow
-    /// sum), computed from the same measured inputs for comparison.
+    /// One-fetcher virtual time (the sum of isolated flow costs), computed
+    /// from the same measured inputs for comparison.
     pub sequential_ns: VNanos,
     /// Largest single fetch (disk + latency + full-bandwidth transfer +
     /// decompress): a lower bound on any schedule's makespan.
@@ -283,16 +279,10 @@ fn fetch_one(
     }
 }
 
-// The per-attempt NIC step loop that used to live here (its own `Slot` /
-// `SlotState` state machine and `SCALE = lcm(1..=16)` arithmetic) is now a
-// special case of the unified event loop: one node, one reduce slot, this
-// attempt's flows. See `crate::event` for the loop and the proof sketch
-// that the schedules are bit-identical.
-
 /// Fetch a reduce task's partition from every map output.
 ///
 /// Real disk reads and decompression run on up to `fetchers` scoped
-/// threads (1 = inline, the legacy path); the virtual-time schedule is
+/// threads (1 = inline); the virtual-time schedule is
 /// computed by the NIC-sharing model. Runs come back in map-task-id order
 /// regardless of fetcher count.
 ///
@@ -365,87 +355,19 @@ pub fn run_shuffle(
         }
     }
 
-    let mut flows: Option<Vec<FlowTrace>> = None;
-    if fetchers <= 1 {
-        // Degenerate case: the legacy independent-flow sum, bit-for-bit.
-        stats.virtual_ns = stats.sequential_ns;
-        stats.wait_ns = 0;
-        if trace {
-            // Sequential schedule: flows run back to back on one slot, each
-            // paying its full isolated cost (including a local flow's
-            // decompress — the one-fetcher sum has no NIC event loop).
-            let mut cursor = 0u64;
-            let traced = inputs
-                .iter()
-                .enumerate()
-                .map(|(i, inp)| {
-                    let job = inp.flow;
-                    let start = cursor;
-                    let pre_end = start + job.pre_ns();
-                    let (latency_end, transfer_end) = if job.remote {
-                        let le = pre_end.saturating_add(job.latency_ns);
-                        (le, le.saturating_add(job.rate_ns))
-                    } else {
-                        (pre_end, pre_end)
-                    };
-                    let finish = transfer_end.saturating_add(job.post_ns);
-                    cursor = finish;
-                    FlowTrace {
-                        map_task: i,
-                        src_node: inp.src_node,
-                        remote: job.remote,
-                        io_ns: job.io_ns,
-                        backoff_ns: job.backoff_ns,
-                        slot: 0,
-                        start,
-                        pre_end,
-                        latency_end,
-                        transfer_end,
-                        finish,
-                    }
-                })
-                .collect();
-            flows = Some(traced);
-        }
-    } else {
-        let jobs: Vec<Flow> = inputs.iter().map(|i| i.flow).collect();
-        let sim = simulate_attempt_flows(&jobs, fetchers);
-        stats.virtual_ns = sim.virtual_ns;
-        stats.wait_ns = sim.wait_ns;
-        debug_assert!(
-            stats.virtual_ns <= stats.sequential_ns,
-            "NIC sharing cannot exceed the sequential sum"
-        );
-        debug_assert!(
-            stats.virtual_ns >= stats.max_flow_ns,
-            "no schedule beats the largest single flow"
-        );
-        if trace {
-            let mut sched = sim.flows;
-            sched.sort_by_key(|s| s.flow);
-            flows = Some(
-                sched
-                    .iter()
-                    .map(|s| {
-                        let inp = inputs[s.flow];
-                        FlowTrace {
-                            map_task: s.flow,
-                            src_node: inp.src_node,
-                            remote: inp.flow.remote,
-                            io_ns: inp.flow.io_ns,
-                            backoff_ns: inp.flow.backoff_ns,
-                            slot: s.slot,
-                            start: s.start,
-                            pre_end: s.pre_end,
-                            latency_end: s.latency_end,
-                            transfer_end: s.transfer_end,
-                            finish: s.finish,
-                        }
-                    })
-                    .collect(),
-            );
-        }
-    }
+    let jobs: Vec<Flow> = inputs.iter().map(|i| i.flow).collect();
+    let sim = simulate_attempt_flows(&jobs, fetchers);
+    stats.virtual_ns = sim.virtual_ns;
+    stats.wait_ns = sim.wait_ns;
+    debug_assert!(
+        stats.virtual_ns <= stats.sequential_ns,
+        "NIC sharing cannot exceed the sequential sum"
+    );
+    debug_assert!(
+        stats.virtual_ns >= stats.max_flow_ns,
+        "no schedule beats the largest single flow"
+    );
+    let flows = trace.then(|| flow_traces(&sim.flows, &inputs));
 
     Ok(ShuffleOutcome {
         runs,
@@ -454,6 +376,32 @@ pub fn run_shuffle(
         inputs,
         flows,
     })
+}
+
+/// Per-flow trace records in map-task order: the event loop's phase
+/// boundaries joined with each flow's measured inputs.
+pub(crate) fn flow_traces(sched: &[FlowSched], inputs: &[FlowInput]) -> Vec<FlowTrace> {
+    let mut sched = sched.to_vec();
+    sched.sort_by_key(|s| s.flow);
+    sched
+        .iter()
+        .map(|s| {
+            let inp = inputs[s.flow];
+            FlowTrace {
+                map_task: s.flow,
+                src_node: inp.src_node,
+                remote: inp.flow.remote,
+                io_ns: inp.flow.io_ns,
+                backoff_ns: inp.flow.backoff_ns,
+                slot: s.slot,
+                start: s.start,
+                pre_end: s.pre_end,
+                latency_end: s.latency_end,
+                transfer_end: s.transfer_end,
+                finish: s.finish,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -490,7 +438,7 @@ mod tests {
         jobs.iter().map(Flow::isolated_ns).max().unwrap_or(0)
     }
 
-    /// The legacy `nic_schedule` signature over the unified event loop.
+    /// `(makespan, wait)` of one attempt's flows on the event loop.
     fn nic_schedule(jobs: &[Flow], fetchers: usize) -> (VNanos, VNanos) {
         let sim = simulate_attempt_flows(jobs, fetchers);
         (sim.virtual_ns, sim.wait_ns)
@@ -776,7 +724,7 @@ mod tests {
         ];
         let net = NetworkConfig::local_cluster();
         // A plan that targets a map task this shuffle never fetches: no
-        // fault fires, so the legacy one-fetcher accounting is reproduced
+        // fault fires, so the fault-free one-fetcher accounting is reproduced
         // bit-for-bit in every deterministic field.
         let plan = FaultPlan::new().shuffle_fail(99, 0);
         let base = run_shuffle(&outputs, 0, 0, &net, 1, None, 4, false).unwrap();

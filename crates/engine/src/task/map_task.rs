@@ -736,8 +736,11 @@ mod tests {
         }
     }
 
-    fn tmpdir() -> PathBuf {
-        let d = std::env::temp_dir().join(format!("textmr-maptask-{}", std::process::id()));
+    /// A spill directory private to one test: map tasks write
+    /// `t{i}_out.bin` / `t{i}_s{n}.spill` by task id, so tests running in
+    /// parallel must not share a directory.
+    fn tmpdir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("textmr-maptask-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }
@@ -748,7 +751,7 @@ mod tests {
         InputSplit::from_file(dfs.get("in").unwrap(), 0).remove(0)
     }
 
-    fn cfg(buffer: usize) -> MapTaskConfig {
+    fn cfg(tag: &str, buffer: usize) -> MapTaskConfig {
         MapTaskConfig {
             task_id: 0,
             node: 0,
@@ -758,7 +761,7 @@ mod tests {
             filter: None,
             merge_fan_in: 10,
             compress_output: false,
-            spill_dir: tmpdir(),
+            spill_dir: tmpdir(tag),
             fail_after_records: None,
             fail_spill: None,
             cancel: None,
@@ -783,9 +786,13 @@ mod tests {
     #[test]
     fn small_input_single_spill() {
         let split = one_split("a b a\nb c\n");
-        let (out, prof) = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, cfg(1 << 20))
-            .map_err(|e| format!("{e:?}"))
-            .unwrap();
+        let (out, prof) = run_map_task(
+            &(Arc::new(WordSum) as Arc<dyn Job>),
+            &split,
+            cfg("single-spill", 1 << 20),
+        )
+        .map_err(|e| format!("{e:?}"))
+        .unwrap();
         assert_eq!(prof.input_records, 2);
         assert_eq!(prof.emitted_records, 5);
         assert_eq!(prof.spills.len(), 1);
@@ -802,10 +809,10 @@ mod tests {
             .collect();
         let split = one_split(&text);
         let job: Arc<dyn Job> = Arc::new(WordSum);
-        let (out_big, _) = run_map_task(&job, &split, cfg(1 << 22))
+        let (out_big, _) = run_map_task(&job, &split, cfg("many-spills", 1 << 22))
             .map_err(|e| format!("{e:?}"))
             .unwrap();
-        let mut small = cfg(512);
+        let mut small = cfg("many-spills", 512);
         small.task_id = 1;
         let (out_small, prof_small) = run_map_task(&job, &split, small)
             .map_err(|e| format!("{e:?}"))
@@ -822,9 +829,13 @@ mod tests {
     fn combiner_shrinks_output() {
         let text: String = "the the the the\n".repeat(100);
         let split = one_split(&text);
-        let (out, prof) = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, cfg(1 << 20))
-            .map_err(|e| format!("{e:?}"))
-            .unwrap();
+        let (out, prof) = run_map_task(
+            &(Arc::new(WordSum) as Arc<dyn Job>),
+            &split,
+            cfg("combiner", 1 << 20),
+        )
+        .map_err(|e| format!("{e:?}"))
+        .unwrap();
         assert_eq!(prof.emitted_records, 400);
         assert_eq!(out.file.total_records(), 1);
         let counts = output_counts(&out, 2);
@@ -834,7 +845,7 @@ mod tests {
     #[test]
     fn fault_injection_reports_partial_progress() {
         let split = one_split("a\nb\nc\nd\n");
-        let mut c = cfg(1 << 20);
+        let mut c = cfg("record-fault", 1 << 20);
         c.fail_after_records = Some(2);
         let err = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, c).unwrap_err();
         match err {
@@ -849,7 +860,7 @@ mod tests {
             .map(|i| format!("w{} common x\n", i % 17))
             .collect();
         let split = one_split(&text);
-        let mut c = cfg(512); // tiny buffer → several spills
+        let mut c = cfg("spill-fault", 512); // tiny buffer → several spills
         c.fail_spill = Some(1);
         let err = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, c).unwrap_err();
         match err {
@@ -861,7 +872,7 @@ mod tests {
     #[test]
     fn spill_fault_beyond_last_spill_never_fires() {
         let split = one_split("a b a\nb c\n");
-        let mut c = cfg(1 << 20); // one final spill only
+        let mut c = cfg("late-spill-fault", 1 << 20); // one final spill only
         c.fail_spill = Some(5);
         let (_, prof) = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, c)
             .map_err(|e| format!("{e:?}"))
@@ -872,7 +883,7 @@ mod tests {
     #[test]
     fn cancelled_task_stops_early() {
         let split = one_split("a b\nc d\ne f\n");
-        let mut c = cfg(1 << 20);
+        let mut c = cfg("cancel", 1 << 20);
         c.cancel = Some(Arc::new(AtomicBool::new(true)));
         let err = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, c).unwrap_err();
         assert!(matches!(err, MapTaskError::Cancelled), "got {err:?}");
@@ -884,9 +895,13 @@ mod tests {
             .map(|i| format!("word{} b c d e\n", i % 29))
             .collect();
         let split = one_split(&text);
-        let (_, prof) = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, cfg(4096))
-            .map_err(|e| format!("{e:?}"))
-            .unwrap();
+        let (_, prof) = run_map_task(
+            &(Arc::new(WordSum) as Arc<dyn Job>),
+            &split,
+            cfg("profile", 4096),
+        )
+        .map_err(|e| format!("{e:?}"))
+        .unwrap();
         // Virtual duration covers at least the busy producer time.
         assert!(prof.virtual_duration >= prof.produce_busy);
         // Consume busy equals the sum of per-spill consume times.
@@ -930,16 +945,16 @@ mod tests {
         let split = one_split(&text);
         let job: Arc<dyn Job> = Arc::new(WordSum);
 
-        let mut legacy = cfg(512);
+        let mut legacy = cfg("framed", 512);
         legacy.task_id = 10;
         let (out_legacy, _) = run_map_task(&job, &split, legacy).unwrap();
 
-        let mut streamed = cfg(512);
+        let mut streamed = cfg("framed", 512);
         streamed.task_id = 11;
         streamed.streaming = crate::io::StreamingConfig::streamed();
         let (out_s, prof_s) = run_map_task(&job, &split, streamed).unwrap();
 
-        let mut mat = cfg(512);
+        let mut mat = cfg("framed", 512);
         mat.task_id = 12;
         mat.streaming = crate::io::StreamingConfig::materialized();
         let (out_m, prof_m) = run_map_task(&job, &split, mat).unwrap();
@@ -965,9 +980,13 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_output() {
         let split = one_split("");
-        let (out, prof) = run_map_task(&(Arc::new(WordSum) as Arc<dyn Job>), &split, cfg(1024))
-            .map_err(|e| format!("{e:?}"))
-            .unwrap();
+        let (out, prof) = run_map_task(
+            &(Arc::new(WordSum) as Arc<dyn Job>),
+            &split,
+            cfg("empty", 1024),
+        )
+        .map_err(|e| format!("{e:?}"))
+        .unwrap();
         assert_eq!(prof.emitted_records, 0);
         assert_eq!(out.file.total_records(), 0);
     }

@@ -114,7 +114,7 @@ pub struct ReduceTaskConfig {
     pub scratch_dir: std::path::PathBuf,
     /// Grouping strategy.
     pub grouping: Grouping,
-    /// Parallel shuffle fetchers (1 = sequential legacy behaviour; clamped
+    /// Parallel shuffle fetchers (1 = one fetch at a time; clamped
     /// to [`crate::shuffle::MAX_FETCHERS`]).
     pub fetchers: usize,
     /// Fault injection: abort (as a retryable task failure) after reducing
@@ -446,18 +446,21 @@ mod tests {
         }
     }
 
-    fn tmpdir() -> PathBuf {
-        let d = std::env::temp_dir().join(format!("textmr-reduce-{}", std::process::id()));
+    /// A scratch directory private to one test: map tasks write
+    /// `t{i}_out.bin` / `t{i}_s{n}.spill` by task id, so tests running in
+    /// parallel must not share a directory.
+    fn tmpdir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("textmr-reduce-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }
 
-    fn rcfg(partition: usize, node: usize, fetchers: usize) -> ReduceTaskConfig {
+    fn rcfg(tag: &str, partition: usize, node: usize, fetchers: usize) -> ReduceTaskConfig {
         ReduceTaskConfig {
             partition,
             node,
             merge_fan_in: 10,
-            scratch_dir: tmpdir(),
+            scratch_dir: tmpdir(tag),
             grouping: Grouping::Sort,
             fetchers,
             fail_after_groups: None,
@@ -469,7 +472,7 @@ mod tests {
         }
     }
 
-    fn map_all(texts: &[&str], parts: usize) -> Vec<MapOutput> {
+    fn map_all(tag: &str, texts: &[&str], parts: usize) -> Vec<MapOutput> {
         let job: Arc<dyn Job> = Arc::new(WordSum);
         texts
             .iter()
@@ -487,7 +490,7 @@ mod tests {
                     filter: None,
                     merge_fan_in: 10,
                     compress_output: false,
-                    spill_dir: tmpdir(),
+                    spill_dir: tmpdir(tag),
                     fail_after_records: None,
                     fail_spill: None,
                     cancel: None,
@@ -504,13 +507,13 @@ mod tests {
 
     #[test]
     fn reduce_aggregates_across_map_outputs() {
-        let outputs = map_all(&["a b a\n", "a c\n"], 1);
+        let outputs = map_all("aggregate", &["a b a\n", "a c\n"], 1);
         let job: Arc<dyn Job> = Arc::new(WordSum);
         let r = run_reduce_task(
             &job,
             &outputs,
             &NetworkConfig::local_cluster(),
-            &rcfg(0, 0, 1),
+            &rcfg("aggregate", 0, 0, 1),
         )
         .unwrap();
         let m: std::collections::HashMap<String, u64> = r
@@ -535,7 +538,7 @@ mod tests {
 
     #[test]
     fn partitions_are_disjoint_and_complete() {
-        let outputs = map_all(&["x y z w v u\n"], 3);
+        let outputs = map_all("disjoint", &["x y z w v u\n"], 3);
         let job: Arc<dyn Job> = Arc::new(WordSum);
         let mut all = Vec::new();
         for p in 0..3 {
@@ -543,7 +546,7 @@ mod tests {
                 &job,
                 &outputs,
                 &NetworkConfig::local_cluster(),
-                &rcfg(p, 0, 1),
+                &rcfg("disjoint", p, 0, 1),
             )
             .unwrap();
             all.extend(r.pairs);
@@ -554,13 +557,13 @@ mod tests {
     #[test]
     fn remote_bytes_counted_only_for_remote_sources() {
         // Map task ran on node 1 (i % 4 with i=1... here single text → node 0).
-        let outputs = map_all(&["k k k\n"], 1);
+        let outputs = map_all("remote", &["k k k\n"], 1);
         let job: Arc<dyn Job> = Arc::new(WordSum);
         let local = run_reduce_task(
             &job,
             &outputs,
             &NetworkConfig::local_cluster(),
-            &rcfg(0, 0, 1),
+            &rcfg("remote", 0, 0, 1),
         )
         .unwrap();
         assert_eq!(local.shuffle.remote_bytes, 0);
@@ -568,7 +571,7 @@ mod tests {
             &job,
             &outputs,
             &NetworkConfig::local_cluster(),
-            &rcfg(0, 1, 1),
+            &rcfg("remote", 0, 1, 1),
         )
         .unwrap();
         assert!(remote.shuffle.remote_bytes > 0);
@@ -579,7 +582,7 @@ mod tests {
 
     #[test]
     fn parallel_fetchers_produce_identical_output() {
-        let outputs = map_all(&["a b a\n", "a c d e\n", "b d f\n"], 1);
+        let outputs = map_all("fetchers", &["a b a\n", "a c d e\n", "b d f\n"], 1);
         let job: Arc<dyn Job> = Arc::new(WordSum);
         let run = |fetchers: usize| {
             // node 1: all sources remote → real flows in the NIC model
@@ -587,7 +590,7 @@ mod tests {
                 &job,
                 &outputs,
                 &NetworkConfig::local_cluster(),
-                &rcfg(0, 1, fetchers),
+                &rcfg("fetchers", 0, 1, fetchers),
             )
             .unwrap()
         };
@@ -606,7 +609,7 @@ mod tests {
 
     #[test]
     fn empty_partition_is_fine() {
-        let outputs = map_all(&["solo\n"], 4);
+        let outputs = map_all("empty", &["solo\n"], 4);
         let job: Arc<dyn Job> = Arc::new(WordSum);
         let mut nonempty = 0;
         for p in 0..4 {
@@ -614,7 +617,7 @@ mod tests {
                 &job,
                 &outputs,
                 &NetworkConfig::local_cluster(),
-                &rcfg(p, 0, 1),
+                &rcfg("empty", p, 0, 1),
             )
             .unwrap();
             if !r.pairs.is_empty() {
@@ -626,9 +629,9 @@ mod tests {
 
     #[test]
     fn group_fault_reports_injected_failure() {
-        let outputs = map_all(&["a b c d e f g h\n"], 1);
+        let outputs = map_all("group-fault", &["a b c d e f g h\n"], 1);
         let job: Arc<dyn Job> = Arc::new(WordSum);
-        let mut cfg = rcfg(0, 0, 1);
+        let mut cfg = rcfg("group-fault", 0, 0, 1);
         cfg.fail_after_groups = Some(3);
         let err =
             run_reduce_task(&job, &outputs, &NetworkConfig::local_cluster(), &cfg).unwrap_err();
@@ -646,9 +649,9 @@ mod tests {
 
     #[test]
     fn group_fault_fires_under_hash_grouping_too() {
-        let outputs = map_all(&["a b c d\n"], 1);
+        let outputs = map_all("hash-fault", &["a b c d\n"], 1);
         let job: Arc<dyn Job> = Arc::new(WordSum);
-        let mut cfg = rcfg(0, 0, 1);
+        let mut cfg = rcfg("hash-fault", 0, 0, 1);
         cfg.grouping = Grouping::Hash;
         cfg.fail_after_groups = Some(2);
         let err =
@@ -661,9 +664,9 @@ mod tests {
 
     #[test]
     fn cancelled_reduce_task_stops_before_fetching() {
-        let outputs = map_all(&["a b\n"], 1);
+        let outputs = map_all("cancel", &["a b\n"], 1);
         let job: Arc<dyn Job> = Arc::new(WordSum);
-        let mut cfg = rcfg(0, 0, 1);
+        let mut cfg = rcfg("cancel", 0, 0, 1);
         cfg.cancel = Some(Arc::new(AtomicBool::new(true)));
         let err =
             run_reduce_task(&job, &outputs, &NetworkConfig::local_cluster(), &cfg).unwrap_err();
@@ -672,16 +675,16 @@ mod tests {
 
     #[test]
     fn injected_shuffle_faults_retry_transparently() {
-        let outputs = map_all(&["a b a\n", "a c\n"], 1);
+        let outputs = map_all("fetch-fault", &["a b a\n", "a c\n"], 1);
         let job: Arc<dyn Job> = Arc::new(WordSum);
         let clean = run_reduce_task(
             &job,
             &outputs,
             &NetworkConfig::local_cluster(),
-            &rcfg(0, 0, 1),
+            &rcfg("fetch-fault", 0, 0, 1),
         )
         .unwrap();
-        let mut cfg = rcfg(0, 0, 1);
+        let mut cfg = rcfg("fetch-fault", 0, 0, 1);
         cfg.faults = Some(Arc::new(
             crate::fault::FaultPlan::new()
                 .shuffle_fail(0, 0)

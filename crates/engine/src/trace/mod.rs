@@ -38,18 +38,15 @@
 //! trace files offline.
 //!
 //! The [`race`] submodule is a vector-clock happens-before checker over a
-//! `JobTrace`. Traces produced by the unified event loop
-//! ([`crate::event`]) carry their ordering edges explicitly in
+//! `JobTrace`. Traces carry their ordering edges explicitly in
 //! [`JobTrace::edges`] — each [`TraceEdge`] is emitted by the scheduler's
-//! event graph (slot reuse, retries, backups) or by the task recorders'
-//! structure (spill hand-offs, map-output→fetch, shuffle barriers,
-//! registry hand-offs) — and the checker consumes that ground truth
-//! directly. For legacy edge-less traces (including all shipped
-//! `results/trace_*.json` files) the checker falls back to reconstructing
-//! the same edges from span structure and timing. Either way it reports
-//! span pairs that touch the same logical resource without a
-//! happens-before path — virtual-time races the per-lane tiling checks in
-//! [`JobTrace::check`] cannot see.
+//! event graph ([`crate::event`]: slot reuse, retries, backups) or by the
+//! task recorders' structure (spill hand-offs, map-output→fetch, shuffle
+//! barriers, registry hand-offs) — and the checker consumes that ground
+//! truth directly; a trace with reduce entries but no edges is itself a
+//! structural finding. It reports span pairs that touch the same logical
+//! resource without a happens-before path — virtual-time races the
+//! per-lane tiling checks in [`JobTrace::check`] cannot see.
 
 pub mod diff;
 pub mod race;
@@ -798,8 +795,8 @@ pub struct JobTrace {
     pub wall: VNanos,
     /// Every scheduled attempt, including failed ones and backups.
     pub entries: Vec<TraceEntry>,
-    /// Recorded happens-before edges (empty for legacy traces; the race
-    /// checker then falls back to timing-derived reconstruction).
+    /// Recorded happens-before edges, the race checker's only source of
+    /// ordering.
     pub edges: Vec<TraceEdge>,
 }
 

@@ -14,26 +14,21 @@
 //!   (failed / speculation-lost / dead-backup) is a one-event thread.
 //! * **Events**: a thread's spans in lane order. Program order within a
 //!   thread is always a happens-before edge.
-//! * **Synchronization edges** come from one of two places:
-//!   * **Recorded** ([`JobTrace::edges`] non-empty): the unified event
-//!     loop emitted the edges while scheduling — slot chains, retries,
-//!     and speculative hand-offs off the event graph; map-output
-//!     publication, spill hand-ins, and shuffle barriers off the
-//!     producer-side task structure. The checker consumes them as ground
-//!     truth instead of reconstructing orderings from span timings.
-//!   * **Derived** (legacy traces with no recorded edges): the checker
-//!     reconstructs the same edge families from the entries themselves —
-//!     slot reuse on one `(node, phase, slot)` ordered by span timing,
-//!     retry chains by attempt number, map-output publication to each
-//!     flow group (matched by [`Span::flow`] tag), spill hand-offs, and
-//!     the per-flow shuffle barrier into the reduce lane's first op.
+//! * **Synchronization edges** are the ones recorded in
+//!   [`JobTrace::edges`]: the unified event loop emits slot chains,
+//!   retries, and speculative hand-offs off its event graph, and the
+//!   driver adds map-output publication, spill hand-ins, and shuffle
+//!   barriers off the producer-side task structure. The checker consumes
+//!   them as ground truth. A trace with reduce entries but no recorded
+//!   edges is a structural finding (resource `edges`): it predates
+//!   recorded edges and must be regenerated.
 //!
-//!   Either way an edge is *applied* only when timing-consistent (the
-//!   source event ends no later than the destination starts): an edge the
-//!   timing contradicts is no evidence of ordering, and dropping it is
-//!   what surfaces the race on the resource it was meant to order.
-//!   Recorded endpoints that no longer resolve (a mutated trace dropped
-//!   an entry, lane, or span) are dropped the same way.
+//!   An edge is *applied* only when timing-consistent (the source event
+//!   ends no later than the destination starts): an edge the timing
+//!   contradicts is no evidence of ordering, and dropping it is what
+//!   surfaces the race on the resource it was meant to order. Endpoints
+//!   that no longer resolve (a mutated trace dropped an entry, lane, or
+//!   span) are dropped the same way.
 //! * **Resources**: scheduler slots, task attempt serialization, map
 //!   outputs, spill files, fetched runs, and reduce output partitions.
 //!   Accesses are always derived from the entries' structure — recorded
@@ -41,8 +36,7 @@
 //!   conflict when they share a resource and at least one writes; a
 //!   conflict with no happens-before path in either direction is a race.
 //!   Structural invariants (one attempt of record per task, support
-//!   bursts paired with spill-wait hand-offs) are checked unconditionally
-//!   in both modes.
+//!   bursts paired with spill-wait hand-offs) are checked unconditionally.
 //!
 //! Because every applied edge is timing-consistent and consecutive lane
 //! spans touch, any happens-before chain is monotone in virtual time — the
@@ -54,7 +48,7 @@
 //! The registry synchronizes in *real* time (publisher / waiter handshake
 //! inside a map wave); its outcome is deterministic and its waits are
 //! invisible in virtual time by design, so the publisher's and waiters'
-//! virtual spans may freely overlap. Traces from the unified loop record
+//! virtual spans may freely overlap. Traces record
 //! the designated-publisher hand-offs as [`EdgeKind::Registry`] edges;
 //! the checker validates them as *protocol* edges — endpoints must be map
 //! entries, the publisher must carry the node's lowest task id, no waiter
@@ -341,20 +335,36 @@ impl<'t> Checker<'t> {
     }
 
     fn run(mut self) -> RaceReport {
-        // Recorded mode: the trace carries ground-truth edges from the
-        // unified event loop; skip timing-derived edge reconstruction and
-        // apply the recorded edges instead. Accesses and structural
-        // invariants are derived from the entries either way.
-        let derive = self.trace.edges.is_empty();
-        self.slot_edges_and_accesses(derive);
-        self.attempt_edges_and_accesses(derive);
+        // The trace's recorded edges are the only source of ordering;
+        // accesses and structural invariants are derived from the entries.
+        self.require_recorded_edges();
+        self.slot_and_task_accesses();
         let of_record = self.of_record_map();
-        self.map_entry_accesses(&of_record, derive);
-        self.reduce_entry_accesses(&of_record, derive);
-        if !derive {
-            self.apply_recorded_edges(&of_record);
-        }
+        self.map_entry_accesses(&of_record);
+        self.reduce_entry_accesses(&of_record);
+        self.apply_recorded_edges(&of_record);
         self.check_races_on_accesses()
+    }
+
+    /// A trace with reduce entries always records edges (at least the
+    /// map-output publications its fetches depend on); one without any was
+    /// exported before the event loop recorded them and cannot be audited.
+    fn require_recorded_edges(&mut self) {
+        if self.trace.edges.is_empty()
+            && self
+                .trace
+                .entries
+                .iter()
+                .any(|e| e.kind == TaskKind::Reduce)
+        {
+            self.diagnostics.push(RaceDiagnostic {
+                kind: RaceKind::Structure,
+                resource: "edges".into(),
+                message: "no recorded happens-before edges: the trace predates \
+                          recorded edges and must be regenerated"
+                    .into(),
+            });
+        }
     }
 
     /// Resolve one recorded edge endpoint to concrete events. An
@@ -385,8 +395,8 @@ impl<'t> Checker<'t> {
     }
 
     /// Apply the trace's recorded edges. Every edge except
-    /// [`EdgeKind::Registry`] feeds the vector clocks through the same
-    /// timing filter as derived edges; registry hand-offs synchronize in
+    /// [`EdgeKind::Registry`] feeds the vector clocks through the timing
+    /// filter of `edge`; registry hand-offs synchronize in
     /// real time, so they are validated as protocol edges instead (see the
     /// module docs).
     fn apply_recorded_edges(&mut self, of_record: &OfRecord) {
@@ -531,78 +541,36 @@ impl<'t> Checker<'t> {
         self.diagnostics.extend(diags);
     }
 
-    /// Group entries by `(node, phase, slot)`: consecutive attempts on a
-    /// slot are serialized, and every attempt is a write to the slot.
-    /// `derive` controls whether the serialization edges are reconstructed
-    /// here (legacy traces) or left to the recorded slot chains.
-    fn slot_edges_and_accesses(&mut self, derive: bool) {
-        let mut by_slot: BTreeMap<(usize, TaskKind, usize), Vec<usize>> = BTreeMap::new();
-        for (ei, e) in self.trace.entries.iter().enumerate() {
-            by_slot
-                .entry((e.node, e.kind, e.slot))
-                .or_default()
-                .push(ei);
-        }
-        for ((node, kind, slot), mut eis) in by_slot {
-            eis.sort_by_key(|&ei| {
-                let e = &self.trace.entries[ei];
-                (e.start, e.end, ei)
+    /// Every attempt writes its `(node, phase, slot)`; non-backup attempts
+    /// also write their task's attempt slot, so retries must be ordered.
+    /// Backups race their primary by design (first completion wins) and
+    /// are exempt from the task resource.
+    fn slot_and_task_accesses(&mut self) {
+        let trace = self.trace;
+        for (ei, e) in trace.entries.iter().enumerate() {
+            let (first, last) = self.entry_envelope(ei);
+            let who = self.who(ei);
+            self.accesses.push(Access {
+                resource: format!("slot:n{}/{}/{}", e.node, e.kind.label(), e.slot),
+                res_kind: "slot",
+                write: true,
+                first,
+                last,
+                who: who.clone(),
             });
-            if derive {
-                for w in eis.windows(2) {
-                    let srcs = self.entry_lasts(w[0]);
-                    let dsts = self.entry_firsts(w[1]);
-                    self.edge_all(&srcs, &dsts);
-                }
-            }
-            for ei in eis {
-                let (first, last) = self.entry_envelope(ei);
-                self.accesses.push(Access {
-                    resource: format!("slot:n{node}/{}/{slot}", kind.label()),
-                    res_kind: "slot",
-                    write: true,
-                    first,
-                    last,
-                    who: self.who(ei),
-                });
-            }
-        }
-    }
-
-    /// Non-backup attempts of one task are serialized retries; each is a
-    /// write to the task's attempt slot. Backups race their primary by
-    /// design (first completion wins) and are exempt. `derive` controls
-    /// whether retry edges are reconstructed here (legacy traces) or left
-    /// to the recorded retry chains.
-    fn attempt_edges_and_accesses(&mut self, derive: bool) {
-        let mut by_task: BTreeMap<(usize, TaskKind, usize, usize), Vec<usize>> = BTreeMap::new();
-        for (ei, e) in self.trace.entries.iter().enumerate() {
             if !e.backup {
-                by_task
-                    .entry((e.job, e.kind, e.round, e.task))
-                    .or_default()
-                    .push(ei);
-            }
-        }
-        for ((job, kind, round, task), mut eis) in by_task {
-            eis.sort_by_key(|&ei| self.trace.entries[ei].attempt);
-            if derive {
-                for w in eis.windows(2) {
-                    let srcs = self.entry_lasts(w[0]);
-                    let dsts = self.entry_firsts(w[1]);
-                    self.edge_all(&srcs, &dsts);
-                }
-            }
-            let rq = Self::jrq(job, round);
-            for ei in eis {
-                let (first, last) = self.entry_envelope(ei);
                 self.accesses.push(Access {
-                    resource: format!("task:{}/{rq}{task}", kind.label()),
+                    resource: format!(
+                        "task:{}/{}{}",
+                        e.kind.label(),
+                        Self::jrq(e.job, e.round),
+                        e.task
+                    ),
                     res_kind: "task",
                     write: true,
                     first,
                     last,
-                    who: self.who(ei),
+                    who,
                 });
             }
         }
@@ -653,9 +621,7 @@ impl<'t> Checker<'t> {
 
     /// Map attempts of record: spill-file accesses + hand-off structure on
     /// the support lane, merge reads, and the map-output write envelope.
-    /// `derive` controls whether the spill hand-in edges are reconstructed
-    /// here (legacy traces) or left to the recorded spill edges.
-    fn map_entry_accesses(&mut self, of_record: &OfRecord, derive: bool) {
+    fn map_entry_accesses(&mut self, of_record: &OfRecord) {
         for (&(job, kind, round, task), &ei) in of_record {
             if kind != TaskKind::Map {
                 continue;
@@ -714,9 +680,6 @@ impl<'t> Checker<'t> {
                             who: format!("{who} support"),
                         });
                         if let Some(m) = merge {
-                            if derive {
-                                self.edge((st, i), m);
-                            }
                             self.accesses.push(Access {
                                 resource,
                                 res_kind: "spill",
@@ -750,10 +713,8 @@ impl<'t> Checker<'t> {
 
     /// Reduce attempts of record: flow-group reads of map outputs, run
     /// writes, the shuffle barrier into the reduce lane, and the output
-    /// partition write. `derive` controls whether publication and barrier
-    /// edges are reconstructed here (legacy traces) or left to the
-    /// recorded map-out and barrier edges.
-    fn reduce_entry_accesses(&mut self, of_record: &OfRecord, derive: bool) {
+    /// partition write.
+    fn reduce_entry_accesses(&mut self, of_record: &OfRecord) {
         for (&(job, kind, round, partition), &ei) in of_record {
             if kind != TaskKind::Reduce {
                 continue;
@@ -811,30 +772,21 @@ impl<'t> Checker<'t> {
                     let flow_who = format!("{who} fetch of map {src}");
                     // The flow reads the published map output — shuffles
                     // stay within the entry's own job and round.
-                    match of_record.get(&(job, TaskKind::Map, round, src as usize)) {
-                        Some(&mei) => {
-                            if derive {
-                                if let Some(mli) = self.lane_of(mei, LaneRole::Map) {
-                                    if let Some(&mt) = self.tix.get(&(mei, mli)) {
-                                        let mlast = self.threads[mt].events.len() - 1;
-                                        self.edge((mt, mlast), (t, gf));
-                                    }
-                                }
-                            }
-                            self.accesses.push(Access {
-                                resource: format!("mapout:{rq}{src}"),
-                                res_kind: "mapout",
-                                write: false,
-                                first: (t, gf),
-                                last: (t, gl),
-                                who: flow_who.clone(),
-                            });
-                        }
-                        None => self.diagnostics.push(RaceDiagnostic {
+                    if of_record.contains_key(&(job, TaskKind::Map, round, src as usize)) {
+                        self.accesses.push(Access {
+                            resource: format!("mapout:{rq}{src}"),
+                            res_kind: "mapout",
+                            write: false,
+                            first: (t, gf),
+                            last: (t, gl),
+                            who: flow_who.clone(),
+                        });
+                    } else {
+                        self.diagnostics.push(RaceDiagnostic {
                             kind: RaceKind::Structure,
                             resource: format!("mapout:{rq}{src}"),
                             message: format!("{flow_who}: no producing map task in the trace"),
-                        }),
+                        });
                     }
                     // ...and writes the fetched run the merge will read.
                     self.accesses.push(Access {
@@ -850,9 +802,6 @@ impl<'t> Checker<'t> {
                     // event (transfer or decompress completion), not the
                     // fetch op that merely issued the request.
                     if let Some(rf) = reduce_first_op {
-                        if derive {
-                            self.edge((t, gl), rf);
-                        }
                         self.accesses.push(Access {
                             resource: format!("runs:{rq}{partition}/{src}"),
                             res_kind: "runs",
@@ -1009,8 +958,8 @@ mod tests {
     };
     use super::*;
 
-    /// A small but complete one-map, one-reduce job trace whose cross-lane
-    /// edges all exist and are timing-consistent.
+    /// A small but complete one-map, one-reduce job trace whose recorded
+    /// cross-lane edges all exist and are timing-consistent.
     fn micro_trace() -> JobTrace {
         let mut rec = MapTraceRecorder::new();
         rec.on_record(0, 5, 10, 3, 2);
@@ -1032,7 +981,7 @@ mod tests {
             finish: 55,
         }];
         let reduce = build_reduce_trace(&flows, 0, 55, 4, 1, 6, 2); // ends at 68
-        JobTrace {
+        let mut trace = JobTrace {
             nodes: 2,
             map_slots: 1,
             reduce_slots: 1,
@@ -1069,7 +1018,9 @@ mod tests {
                     detail: EntryDetail::Lanes(reduce.into_absolute(100, 1)),
                 },
             ],
-        }
+        };
+        trace.edges = recorded_micro_edges(&trace);
+        trace
     }
 
     fn lanes_mut(e: &mut TraceEntry) -> &mut Vec<TaskLane> {
@@ -1089,7 +1040,7 @@ mod tests {
             "unexpected findings:\n{}",
             report.render()
         );
-        assert!(report.edges > 0);
+        assert!(report.edges > 0, "recorded edges must feed the clocks");
         assert!(report.accesses["mapout"] >= 2); // one write + one read
         assert!(report.accesses["spill"] >= 2);
         assert!(report.accesses["runs"] >= 2);
@@ -1144,6 +1095,7 @@ mod tests {
             trace.entries.push(e);
         }
         trace.wall = trace.entries.iter().map(|e| e.end).max().unwrap_or(0);
+        trace.edges = recorded_micro_edges(&trace);
         trace
     }
 
@@ -1352,33 +1304,68 @@ mod tests {
         );
     }
 
-    /// Rebuild the edges the unified event loop would have recorded for a
-    /// micro trace: entry-level map-out publication, span-level spill
-    /// hand-ins, and span-level shuffle barriers.
+    /// The edges the unified event loop would have recorded for a micro
+    /// trace: slot chains (chronological per physical slot) and retry
+    /// chains between attempts, entry-level map-out publication within a
+    /// job and round, span-level spill hand-ins, and span-level shuffle
+    /// barriers. Mutation tests corrupt a trace *after* its edges were
+    /// recorded, as a buggy scheduler or exporter would.
     fn recorded_micro_edges(trace: &JobTrace) -> Vec<TraceEdge> {
         let lanes = |ei: usize| match &trace.entries[ei].detail {
-            EntryDetail::Lanes(l) => l.as_slice(),
-            EntryDetail::Flat(_) => panic!("flat entry"),
+            EntryDetail::Lanes(l) => Some(l.as_slice()),
+            EntryDetail::Flat(_) => None,
         };
         let mut edges = Vec::new();
-        let (map_eis, reduce_eis): (Vec<usize>, Vec<usize>) = {
-            let m = (0..trace.entries.len())
-                .filter(|&i| trace.entries[i].kind == TaskKind::Map)
-                .collect();
-            let r = (0..trace.entries.len())
-                .filter(|&i| trace.entries[i].kind == TaskKind::Reduce)
-                .collect();
-            (m, r)
-        };
-        for &mi in &map_eis {
-            for &ri in &reduce_eis {
+        let chain = |edges: &mut Vec<TraceEdge>, kind: EdgeKind, eis: &[usize]| {
+            for w in eis.windows(2) {
                 edges.push(TraceEdge {
-                    kind: EdgeKind::MapOut,
-                    src: EdgeEnd::entry(mi),
-                    dst: EdgeEnd::entry(ri),
+                    kind,
+                    src: EdgeEnd::entry(w[0]),
+                    dst: EdgeEnd::entry(w[1]),
                 });
             }
-            let ml = lanes(mi);
+        };
+        let mut by_slot: BTreeMap<(usize, TaskKind, usize), Vec<usize>> = BTreeMap::new();
+        let mut by_task: BTreeMap<(usize, TaskKind, usize, usize), Vec<usize>> = BTreeMap::new();
+        for (ei, e) in trace.entries.iter().enumerate() {
+            by_slot
+                .entry((e.node, e.kind, e.slot))
+                .or_default()
+                .push(ei);
+            if !e.backup {
+                by_task
+                    .entry((e.job, e.kind, e.round, e.task))
+                    .or_default()
+                    .push(ei);
+            }
+        }
+        for eis in by_slot.values_mut() {
+            eis.sort_by_key(|&ei| (trace.entries[ei].start, ei));
+            chain(&mut edges, EdgeKind::Slot, eis);
+        }
+        for eis in by_task.values_mut() {
+            eis.sort_by_key(|&ei| trace.entries[ei].attempt);
+            chain(&mut edges, EdgeKind::Retry, eis);
+        }
+        let of_kind = |kind: TaskKind| -> Vec<usize> {
+            (0..trace.entries.len())
+                .filter(|&i| trace.entries[i].kind == kind && lanes(i).is_some())
+                .collect()
+        };
+        let (map_eis, reduce_eis) = (of_kind(TaskKind::Map), of_kind(TaskKind::Reduce));
+        for &mi in &map_eis {
+            let m = &trace.entries[mi];
+            for &ri in &reduce_eis {
+                let r = &trace.entries[ri];
+                if (m.job, m.round) == (r.job, r.round) {
+                    edges.push(TraceEdge {
+                        kind: EdgeKind::MapOut,
+                        src: EdgeEnd::entry(mi),
+                        dst: EdgeEnd::entry(ri),
+                    });
+                }
+            }
+            let ml = lanes(mi).expect("map entry has lanes");
             let mli = ml.iter().position(|l| l.role == LaneRole::Map).unwrap();
             let sli = ml.iter().position(|l| l.role == LaneRole::Support).unwrap();
             let merge_si = ml[mli]
@@ -1397,7 +1384,7 @@ mod tests {
             }
         }
         for &ri in &reduce_eis {
-            let rl = lanes(ri);
+            let rl = lanes(ri).expect("reduce entry has lanes");
             let rli = rl.iter().position(|l| l.role == LaneRole::Reduce).unwrap();
             let rsi = rl[rli]
                 .spans
@@ -1427,9 +1414,24 @@ mod tests {
     }
 
     #[test]
+    fn edgeless_trace_is_a_structural_finding() {
+        let mut trace = micro_trace();
+        trace.edges.clear();
+        trace.check().unwrap(); // tiling cannot see it
+        let report = check_races(&trace);
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.kind == RaceKind::Structure && d.resource == "edges"),
+            "expected a missing-edges finding:\n{}",
+            report.render()
+        );
+    }
+
+    #[test]
     fn recorded_edges_replace_timing_derivation() {
         let mut trace = micro_trace();
-        trace.edges = recorded_micro_edges(&trace);
         let report = check_races(&trace);
         assert!(
             report.is_clean(),
@@ -1437,12 +1439,16 @@ mod tests {
             report.render()
         );
         assert!(report.edges > 0, "recorded edges must feed the clocks");
+        // Without recorded edges nothing is derived from timing instead.
+        trace.edges.clear();
+        assert_eq!(check_races(&trace).edges, 0);
     }
 
     #[test]
     fn recorded_edge_contradicted_by_timing_is_dropped() {
         let mut trace = micro_trace();
-        trace.edges = recorded_micro_edges(&trace);
+        assert!(trace.edges.iter().any(|e| e.kind == EdgeKind::MapOut));
+        let applied = check_races(&trace).edges;
         // Shift the reduce attempt before the map sealed its output: the
         // recorded MapOut edge is now timing-inconsistent, so it must be
         // dropped and the mapout conflict surfaces as a race.
@@ -1458,6 +1464,11 @@ mod tests {
         }
         let report = check_races(&trace);
         assert!(
+            report.edges < applied,
+            "the contradicted edge must not be applied:\n{}",
+            report.render()
+        );
+        assert!(
             report
                 .diagnostics
                 .iter()
@@ -1470,7 +1481,6 @@ mod tests {
     #[test]
     fn recorded_edge_with_dangling_endpoint_is_dropped() {
         let mut trace = micro_trace();
-        trace.edges = recorded_micro_edges(&trace);
         // Point a barrier edge at a span past the end of its lane: the
         // endpoint no longer resolves, so the edge is dropped and the runs
         // conflict it ordered becomes a race.
@@ -1641,6 +1651,7 @@ mod tests {
         let mut retry = retried;
         retry.attempt = 1;
         trace.entries.insert(1, retry);
+        trace.edges = recorded_micro_edges(&trace);
         let report = check_races(&trace);
         assert!(
             report.is_clean(),

@@ -147,9 +147,8 @@ const ITER_METHODS: [&str; 8] = [
     "retain",
 ];
 const RNG_HINTS: [&str; 4] = ["thread_rng", "random", "entropy", "from_os_rng"];
-const SCHED_SINKS: [&str; 6] = [
+const SCHED_SINKS: [&str; 5] = [
     "place_map",
-    "place_reduce",
     "commit_backup",
     "begin_round",
     "begin_reduce_phase",

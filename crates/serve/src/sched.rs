@@ -20,7 +20,9 @@
 //!
 //! With a single job at arrival 0 every floor coincides with the engine's
 //! raise, so the multiplexed schedule IS the solo schedule, slot for
-//! slot (pinned by `tests/serve_determinism.rs`). Durations are never
+//! slot (pinned by `tests/serve_determinism.rs`) — as long as no reduce
+//! attempt is retried: the engine dispatches the reduce phase on its event
+//! loop, which agrees with this recurrence for fault-free chains. Durations are never
 //! recomputed: cross-job contention delays work but does not re-price it,
 //! so shuffle NIC sharing stays as the solo run measured it — a modeling
 //! simplification documented in DESIGN.md §3h.

@@ -6,10 +6,9 @@
 //! 1. Every shipped fault-free 1-fetcher figure in `results/` replays
 //!    through the round-aware replay (round 0, no boundary) to the
 //!    identical `(slot, start, end)` schedule — a single-stage `JobDag`
-//!    places through exactly this recurrence
-//!    (`dag::tests::single_stage_dag_replays_run_job_bit_identically`
-//!    pins DAG == legacy skeleton), so the published figures pin the DAG
-//!    path too.
+//!    places exactly as `run_job` does
+//!    (`dag::tests::single_stage_dag_replays_run_job_bit_identically`),
+//!    so the published figures pin the DAG path too.
 //! 2. A live traced single-stage DAG run replays its own schedule through
 //!    a fresh scheduler — the executor adds nothing to round 0.
 //! 3. A live traced three-round DAG replays with only the recorded
@@ -56,6 +55,22 @@ fn derived_origins(trace: &JobTrace) -> Vec<VNanos> {
                 .expect("round with no entries")
         })
         .collect()
+}
+
+/// One step of the greedy slot recurrence: the lowest-indexed slot among
+/// the earliest-free, `start = max(slot_free, prev_end)`. Returns `(slot,
+/// start, end)` and advances `free`.
+fn oracle_place(free: &mut [u64], prev_end: u64, scaled_dur: u64) -> (usize, u64, u64) {
+    let mut slot = 0;
+    for (i, &f) in free.iter().enumerate() {
+        if f < free[slot] {
+            slot = i;
+        }
+    }
+    let start = free[slot].max(prev_end);
+    let end = start + scaled_dur;
+    free[slot] = end;
+    (slot, start, end)
 }
 
 /// Replay a (possibly multi-round) trace's schedule through a fresh
@@ -118,7 +133,7 @@ fn replay_dag_trace(name: &str, trace: &JobTrace, origins: &[VNanos]) {
     };
     let mut sched = Scheduler::new(shape, factors.clone());
 
-    let (mut map_base, mut reduce_base) = (0usize, 0usize);
+    let mut map_base = 0usize;
     for round in 0..rounds {
         if round > 0 {
             let origin = *origins
@@ -146,38 +161,38 @@ fn replay_dag_trace(name: &str, trace: &JobTrace, origins: &[VNanos]) {
             map_end = map_end.max(chain.last().expect("non-empty chain").end);
         }
 
-        sched.begin_reduce_phase(map_end);
+        // Reduces run on the event loop; with fault-free chains and
+        // measured (contention-priced) durations its dispatch order is
+        // the greedy recurrence from an all-`map_end` slot table.
+        let mut rfree = vec![vec![map_end; trace.reduce_slots]; trace.nodes];
         for (task, chain) in &reduces[round] {
             let node = chain[0].node;
+            let mut prev_end = 0u64;
             for e in chain {
                 assert_eq!(
                     e.node, node,
                     "{name}: r{round} reduce task {task} hops nodes"
                 );
-            }
-            let durs: Vec<u64> = chain.iter().map(|e| unscaled(e, node)).collect();
-            let got = sched.place_reduce(reduce_base + task, node, &durs);
-            for (p, e) in got.iter().zip(chain) {
+                let want = oracle_place(&mut rfree[node], prev_end, e.end - e.start);
                 assert_eq!(
-                    (p.slot, p.start, p.end),
+                    want,
                     (e.slot, e.start, e.end),
                     "{name}: r{round} reduce task {task} attempt {} replayed differently",
                     e.attempt
                 );
+                prev_end = want.2;
             }
         }
         map_base += maps[round].len();
-        reduce_base += reduces[round].len();
     }
 }
 
-/// Case 1: every shipped fault-free 1-fetcher figure — the four legacy
+/// Case 1: every shipped fault-free 1-fetcher figure — the four
 /// single-round figures and the multi-round DAG figure alike — replays
-/// through the round-aware replay exactly: the DAG refactor left the
-/// published schedules untouched. Backup attempts are excluded because their
-/// detection times are a driver input the trace does not record;
-/// multi-fetcher `_f4` traces are dynamic-loop schedules with their own
-/// invariants (`tests/event_equivalence.rs`), and multi-tenant serve
+/// through the round-aware replay exactly. Backup attempts are excluded
+/// because their detection times are a driver input the trace does not
+/// record; multi-fetcher `_f4` traces have their own invariants
+/// (`tests/event_equivalence.rs`), and multi-tenant serve
 /// traces (job-tagged entries) interleave many jobs whose task ids
 /// overlap — their replay identity is pinned at the multiplexer level
 /// by `tests/serve_determinism.rs` and the `serve` harness instead.

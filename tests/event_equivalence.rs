@@ -1,25 +1,23 @@
 //! Equivalence suite for the unified event-loop scheduler
-//! ([`textmr_engine::event`]): the refactor must be invisible wherever the
-//! legacy behaviour was correct, and visibly different only where the
-//! co-located-reducer ingress bug was fixed.
+//! ([`textmr_engine::event`]).
 //!
-//! 1. Reservation mode (`place_map` / `place_reduce`) reproduces the
-//!    pre-refactor greedy recurrence bit-for-bit, against an independent
-//!    inline oracle, for any durations × factors × cluster shape.
-//! 2. The dynamic reduce phase at one fetcher with no network contention
-//!    lands every attempt at exactly the static reservation's `(start,
-//!    end)` — the event loop is a refactor, not a reschedule.
+//! 1. Map placement (`place_map`) is the greedy slot recurrence, checked
+//!    against an independent inline oracle for any durations × factors ×
+//!    cluster shape.
+//! 2. The reduce phase with no network contention lands every attempt at
+//!    exactly the oracle recurrence's `(start, end)`.
 //! 3. A single-fetcher shuffle is the serial sum of its flows' isolated
 //!    costs, with no straggler tail.
-//! 4. Co-located reducers fair-share their node's ingress NIC (the bug
-//!    fix); non-co-located layouts keep their isolated transfer times.
-//! 5. Every shipped fault-free 1-fetcher figure in `results/` replays
-//!    through the unified scheduler to the identical `(slot, start, end)`
-//!    schedule — the published figures are pinned.
-//! 6. Full jobs: for any survivable generated fault plan, the dynamic
-//!    event loop (fetchers > 1) and the legacy path (fetchers = 1) produce
-//!    byte-identical output pairs and timing-free signatures across worker
-//!    pools.
+//! 4. Co-located reducers fair-share their node's ingress NIC at every
+//!    fetcher count; non-co-located layouts keep their isolated transfer
+//!    times.
+//! 5. Every shipped fault-free 1-fetcher figure in `results/` replays to
+//!    the identical `(slot, start, end)` schedule: maps through the
+//!    scheduler, reduces through the oracle recurrence over their recorded
+//!    (contention-priced) durations.
+//! 6. Full jobs: for any survivable generated fault plan, runs at one
+//!    and at several fetchers produce byte-identical output pairs and
+//!    timing-free signatures across worker pools.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -36,7 +34,7 @@ use textmr_engine::io::dfs::SimDfs;
 use textmr_engine::trace::{JobTrace, TaskKind, TraceEntry};
 
 // ---------------------------------------------------------------------------
-// 1. Reservation mode vs the legacy recurrence, written independently
+// 1. Map placement vs the greedy recurrence, written independently
 // ---------------------------------------------------------------------------
 
 /// The legacy tie-break: lowest-indexed slot among the earliest-free.
@@ -50,7 +48,7 @@ fn oracle_argmin(free: &[u64]) -> usize {
     best
 }
 
-/// One placement step of the pre-refactor recurrence, advancing `free`.
+/// One placement step of the greedy recurrence, advancing `free`.
 fn oracle_place(free: &mut [u64], prev_end: u64, scaled_dur: u64) -> Placement {
     let slot = oracle_argmin(free);
     let start = free[slot].max(prev_end);
@@ -62,8 +60,8 @@ fn oracle_place(free: &mut [u64], prev_end: u64, scaled_dur: u64) -> Placement {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// `place_map` / `place_reduce` equal the inline oracle for every
-    /// attempt of every task: same slot, same start, same end.
+    /// `place_map` equals the inline oracle for every attempt of every
+    /// task: same slot, same start, same end.
     #[test]
     fn reservation_mode_matches_the_legacy_recurrence(
         factors in proptest::collection::vec(1u64..5, 1..5),
@@ -76,7 +74,6 @@ proptest! {
         let mut sched = Scheduler::new(shape, factors.clone());
 
         let mut free = vec![vec![0u64; map_slots]; nodes];
-        let mut map_end = 0u64;
         for (task, durs) in tasks.iter().enumerate() {
             let node = task % nodes;
             let got = sched.place_map(task, node, durs);
@@ -85,32 +82,18 @@ proptest! {
                 let want = oracle_place(&mut free[node], prev_end, dur * factors[node]);
                 prop_assert_eq!(got[attempt], want, "map task {} attempt {}", task, attempt);
                 prev_end = want.end;
-                map_end = map_end.max(want.end);
-            }
-        }
-
-        sched.begin_reduce_phase(map_end);
-        let mut rfree = vec![vec![map_end; reduce_slots]; nodes];
-        for (task, durs) in tasks.iter().enumerate() {
-            let node = (task + 1) % nodes;
-            let got = sched.place_reduce(task, node, durs);
-            let mut prev_end = 0u64;
-            for (attempt, &dur) in durs.iter().enumerate() {
-                let want = oracle_place(&mut rfree[node], prev_end, dur * factors[node]);
-                prop_assert_eq!(got[attempt], want, "reduce task {} attempt {}", task, attempt);
-                prev_end = want.end;
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// 2. Dynamic event loop vs static reservation (no network contention)
+// 2. Reduce phase vs the oracle recurrence (no network contention)
 // ---------------------------------------------------------------------------
 
 /// Attempts whose cost never touches a NIC: dead blocks and local-only
-/// shuffles. With nothing shared, the dynamic loop must be a pure refactor
-/// of the reservation arithmetic.
+/// shuffles. With nothing shared, the event loop must land every attempt
+/// where the greedy recurrence would.
 fn uncontended_attempt() -> impl Strategy<Value = ReduceAttempt> {
     prop_oneof![
         (1u64..20_000).prop_map(|dur| ReduceAttempt::Block { dur }),
@@ -135,7 +118,8 @@ fn uncontended_attempt() -> impl Strategy<Value = ReduceAttempt> {
     ]
 }
 
-/// The static duration the legacy path would charge for an attempt.
+/// An attempt's duration when it shares nothing: the serial sum of its
+/// isolated flows plus its post-shuffle work.
 fn isolated_dur(attempt: &ReduceAttempt) -> u64 {
     match attempt {
         ReduceAttempt::Block { dur } => *dur,
@@ -150,10 +134,10 @@ fn isolated_dur(attempt: &ReduceAttempt) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// With one attempt per task and no shared ingress, every dynamic
-    /// outcome's `(start, end)` equals the static reservation's. (Slot
-    /// labels may swap when two slots free at the same instant; the
-    /// timing is what the figures pin.)
+    /// With one attempt per task and no shared ingress, every outcome's
+    /// `(start, end)` equals the oracle recurrence's. (Slot labels may
+    /// swap when two slots free at the same instant; the timing is what
+    /// the figures pin.)
     #[test]
     fn dynamic_phase_matches_static_reservation_without_contention(
         factors in proptest::collection::vec(1u64..4, 1..4),
@@ -164,23 +148,23 @@ proptest! {
         let nodes = factors.len();
         let shape = ClusterShape { nodes, map_slots: 1, reduce_slots, fetchers: 1 };
 
-        let mut dynamic = Scheduler::new(shape, factors.clone());
-        dynamic.begin_reduce_phase(phase_start);
+        let mut sched = Scheduler::new(shape, factors.clone());
+        sched.begin_reduce_phase(phase_start);
         let layout: Vec<(usize, Vec<ReduceAttempt>)> = attempts
             .iter()
             .enumerate()
             .map(|(t, a)| (t % nodes, vec![a.clone()]))
             .collect();
-        let outcomes = dynamic.run_reduce_phase(layout);
+        let outcomes = sched.run_reduce_phase(0, layout);
 
-        let mut fixed = Scheduler::new(shape, factors.clone());
-        fixed.begin_reduce_phase(phase_start);
+        let mut free = vec![vec![phase_start; reduce_slots]; nodes];
         for (task, attempt) in attempts.iter().enumerate() {
-            let want = fixed.place_reduce(task, task % nodes, &[isolated_dur(attempt)]);
+            let node = task % nodes;
+            let want = oracle_place(&mut free[node], 0, isolated_dur(attempt) * factors[node]);
             prop_assert_eq!(
                 (outcomes[task][0].start, outcomes[task][0].end),
-                (want[0].start, want[0].end),
-                "task {} diverged from the reservation schedule", task
+                (want.start, want.end),
+                "task {} diverged from the oracle schedule", task
             );
         }
     }
@@ -232,9 +216,9 @@ proptest! {
 
 /// Two reducers pulling one remote flow each: on separate nodes each
 /// transfer runs at full rate; co-located on one node they fair-share its
-/// ingress, so both transfers take exactly twice as long. This is the bug
-/// the legacy per-attempt NIC model missed (each attempt modelled the NIC
-/// as private, so co-location was free).
+/// ingress, so both transfers take exactly twice as long — at one fetcher
+/// (the paper's configuration) as at two. A per-attempt NIC model would
+/// price co-location as free.
 #[test]
 fn co_located_reducers_fair_share_node_ingress() {
     let flow = Flow {
@@ -245,16 +229,17 @@ fn co_located_reducers_fair_share_node_ingress() {
         rate_ns: 1_000_000,
         post_ns: 0,
     };
-    let run = |homes: [usize; 2]| {
+    let run = |homes: [usize; 2], fetchers: usize| {
         let shape = ClusterShape {
             nodes: 2,
             map_slots: 1,
             reduce_slots: 2,
-            fetchers: 2,
+            fetchers,
         };
         let mut sched = Scheduler::new(shape, vec![1, 1]);
         sched.begin_reduce_phase(0);
         sched.run_reduce_phase(
+            0,
             homes
                 .iter()
                 .map(|&n| {
@@ -270,15 +255,25 @@ fn co_located_reducers_fair_share_node_ingress() {
         )
     };
 
-    // Separate nodes: latency then a full-rate transfer.
-    let separate = run([0, 1]);
-    for outcome in &separate {
-        assert_eq!((outcome[0].start, outcome[0].end), (0, 1_001_000));
-    }
-    // Co-located: the two concurrent transfers halve the shared rate.
-    let together = run([0, 0]);
-    for outcome in &together {
-        assert_eq!((outcome[0].start, outcome[0].end), (0, 2_001_000));
+    for fetchers in [1, 2] {
+        // Separate nodes: latency then a full-rate transfer.
+        let separate = run([0, 1], fetchers);
+        for outcome in &separate {
+            assert_eq!(
+                (outcome[0].start, outcome[0].end),
+                (0, 1_001_000),
+                "separate, fetchers={fetchers}"
+            );
+        }
+        // Co-located: the two concurrent transfers halve the shared rate.
+        let together = run([0, 0], fetchers);
+        for outcome in &together {
+            assert_eq!(
+                (outcome[0].start, outcome[0].end),
+                (0, 2_001_000),
+                "co-located, fetchers={fetchers}"
+            );
+        }
     }
 }
 
@@ -286,11 +281,14 @@ fn co_located_reducers_fair_share_node_ingress() {
 // 5. Shipped figures replay bit-for-bit
 // ---------------------------------------------------------------------------
 
-/// Replay one shipped trace's schedule through a fresh [`Scheduler`]: feed
-/// back the unscaled attempt durations and demand the identical `(slot,
-/// start, end)` for every entry. Trace durations are measured wall time —
-/// machine-dependent — so this, not byte equality of regenerated files, is
-/// what "bit-for-bit" means for the published figures.
+/// Replay one shipped trace's schedule: feed the unscaled map durations
+/// back through a fresh [`Scheduler`] and the recorded reduce durations
+/// through the oracle recurrence, and demand the identical `(slot, start,
+/// end)` for every entry. Reduce durations already carry the shared-ingress
+/// pricing; with fault-free chains the event loop dispatches them exactly
+/// as the greedy recurrence would. Trace durations are measured wall time
+/// — machine-dependent — so this, not byte equality of regenerated files,
+/// is what "bit-for-bit" means for the published figures.
 fn replay_trace(name: &str, trace: &JobTrace) {
     let mut factors: Vec<Option<u64>> = vec![None; trace.nodes];
     for e in &trace.entries {
@@ -351,29 +349,28 @@ fn replay_trace(name: &str, trace: &JobTrace) {
         map_end = map_end.max(chain.last().expect("non-empty chain").end);
     }
 
-    sched.begin_reduce_phase(map_end);
+    let mut rfree = vec![vec![map_end; trace.reduce_slots]; trace.nodes];
     for (task, chain) in &reduces {
         let node = chain[0].node;
+        let mut prev_end = 0u64;
         for e in chain {
             assert_eq!(e.node, node, "{name}: reduce task {task} hops nodes");
-        }
-        let durs: Vec<u64> = chain.iter().map(|e| unscaled(e, node)).collect();
-        let got = sched.place_reduce(*task, node, &durs);
-        for (p, e) in got.iter().zip(chain) {
+            let want = oracle_place(&mut rfree[node], prev_end, e.end - e.start);
             assert_eq!(
-                (p.slot, p.start, p.end),
+                (want.slot, want.start, want.end),
                 (e.slot, e.start, e.end),
                 "{name}: reduce task {task} attempt {} replayed differently",
                 e.attempt
             );
+            prev_end = want.end;
         }
     }
 }
 
 /// Every shipped fault-free 1-fetcher figure replays exactly. Backup
 /// attempts are excluded because their detection times are a driver input
-/// the trace does not record; multi-fetcher `_f4` traces are dynamic-loop
-/// schedules with their own invariants (tests 2–4); multi-round DAG
+/// the trace does not record; multi-fetcher `_f4` traces have their own
+/// invariants (tests 2–4); multi-round DAG
 /// figures reuse task ids across rounds and are replayed by the
 /// round-aware discipline in `tests/dag_determinism.rs` instead.
 #[test]
@@ -405,7 +402,7 @@ fn shipped_single_fetcher_traces_replay_exactly() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Full jobs: unified loop vs legacy path under generated fault plans
+// 6. Full jobs: fetcher counts agree under generated fault plans
 // ---------------------------------------------------------------------------
 
 fn corpus_dfs() -> SimDfs {
@@ -472,9 +469,8 @@ fn chaos_shape() -> &'static ChaosShape {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// For any survivable seeded fault plan, runs through the dynamic
-    /// event loop (fetchers > 1) and through the legacy 1-fetcher path
-    /// produce byte-identical sorted output pairs and identical
+    /// For any survivable seeded fault plan, runs at one fetcher and at
+    /// several produce byte-identical sorted output pairs and identical
     /// timing-free signatures, at every worker count.
     #[test]
     fn unified_loop_matches_the_legacy_schedule_for_any_survivable_plan(seed in any::<u64>()) {

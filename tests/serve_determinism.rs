@@ -1,7 +1,7 @@
 //! Multi-tenant determinism: interleaving jobs on the shared serve
 //! cluster must be *invisible* in every job's data — outputs and
 //! timing-free signatures identical to running the same plan alone — and
-//! a single-tenant serve must replay the legacy engine schedule slot for
+//! a single-tenant serve must replay the solo engine schedule slot for
 //! slot. Virtual *durations* are measured (they legitimately differ
 //! between any two runs), so every comparison here is either against a
 //! solo run of the same process-independent data, or within one process
@@ -131,8 +131,9 @@ fn one_tenant() -> Vec<TenantSpec> {
 /// The merged trace of a lone job must equal its solo trace entry for
 /// entry (modulo the job id) and edge for edge: the multiplexer's
 /// per-job floors degenerate to the engine's own free-time raises.
-/// Pinned at `shuffle_fetchers = 1`, where the engine places reduces
-/// with the same static recurrence the multiplexer replays.
+/// Pinned on fault-free jobs at `shuffle_fetchers = 1`: without retries
+/// the engine's event-loop reduce phase lands every attempt where the
+/// multiplexer's greedy recurrence does.
 fn assert_single_tenant_replay(trace: &JobTrace, solo: &JobTrace) {
     assert_eq!(trace.entries.len(), solo.entries.len());
     for (m, s) in trace.entries.iter().zip(&solo.entries) {
